@@ -7,6 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "bench_main.h"
 #include "core/guide_generator.h"
 #include "gen/synthetic.h"
 
@@ -68,4 +69,6 @@ BENCHMARK(BM_GuideCompressedMinCost)->Arg(500)->Arg(1000);
 }  // namespace
 }  // namespace ftoa
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  return ftoa::bench::RunBenchmarkMain(argc, argv);
+}

@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "bench_main.h"
 #include "flow/dynamic_matching.h"
 #include "flow/hopcroft_karp.h"
 #include "flow/min_cost_flow.h"
@@ -292,4 +293,6 @@ BENCHMARK(BM_HopcroftKarpRebuildPerArrival)
 }  // namespace
 }  // namespace ftoa
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  return ftoa::bench::RunBenchmarkMain(argc, argv);
+}

@@ -10,6 +10,7 @@
 
 #include "baselines/gr_batch.h"
 #include "baselines/simple_greedy.h"
+#include "bench_main.h"
 #include "core/guide_generator.h"
 #include "core/polar.h"
 #include "core/polar_op.h"
@@ -56,14 +57,17 @@ template <typename AlgorithmT>
 void RunPerObject(benchmark::State& state, AlgorithmT& algorithm,
                   const Instance& instance) {
   int64_t objects = 0;
+  size_t matched = 0;
   for (auto _ : state) {
     Assignment assignment = algorithm.Run(instance);
-    benchmark::DoNotOptimize(assignment.size());
+    matched = assignment.size();
+    benchmark::DoNotOptimize(matched);
     objects += static_cast<int64_t>(instance.num_workers() +
                                     instance.num_tasks());
   }
   state.SetItemsProcessed(objects);
   // items_per_second's reciprocal is the per-arrival processing time.
+  state.counters["matched"] = static_cast<double>(matched);
 }
 
 void BM_PolarPerObject(benchmark::State& state) {
@@ -87,13 +91,6 @@ void BM_SimpleGreedyPerObject(benchmark::State& state) {
 }
 BENCHMARK(BM_SimpleGreedyPerObject)->Arg(1000)->Arg(4000)->Arg(16000);
 
-void BM_SimpleGreedyIndexedPerObject(benchmark::State& state) {
-  const Workload workload = MakeWorkload(state.range(0));
-  SimpleGreedy greedy(SimpleGreedyOptions{.use_spatial_index = true});
-  RunPerObject(state, greedy, *workload.instance);
-}
-BENCHMARK(BM_SimpleGreedyIndexedPerObject)->Arg(1000)->Arg(4000)->Arg(16000);
-
 void BM_GrPerObject(benchmark::State& state) {
   const Workload workload = MakeWorkload(state.range(0));
   GrBatch gr;
@@ -104,4 +101,6 @@ BENCHMARK(BM_GrPerObject)->Arg(1000)->Arg(4000)->Arg(16000);
 }  // namespace
 }  // namespace ftoa
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  return ftoa::bench::RunBenchmarkMain(argc, argv);
+}

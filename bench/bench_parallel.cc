@@ -22,6 +22,7 @@
 
 #include <memory>
 
+#include "bench_main.h"
 #include "core/guide_generator.h"
 #include "core/polar_op.h"
 #include "gen/synthetic.h"
@@ -151,4 +152,6 @@ BENCHMARK(BM_CompetitiveTrials)
 }  // namespace
 }  // namespace ftoa
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  return ftoa::bench::RunBenchmarkMain(argc, argv);
+}

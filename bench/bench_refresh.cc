@@ -33,6 +33,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_main.h"
 #include "core/guide_generator.h"
 #include "core/prediction_matrix.h"
 #include "serve/service_harness.h"
@@ -289,4 +290,6 @@ BENCHMARK_CAPTURE(BM_Interference, shared_slice, 1)
 }  // namespace
 }  // namespace ftoa
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  return ftoa::bench::RunBenchmarkMain(argc, argv);
+}

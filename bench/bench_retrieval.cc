@@ -1,13 +1,14 @@
-// Candidate-retrieval engine benchmark: per-decision cost of the ported
-// online algorithms under --retrieval=engine vs the historical linear
-// scan, as the live-object count grows over a fixed service region (the
-// paper's Figure 4b axis — a city densifying through the day). The linear
-// scan pays the whole waiting set per decision, so its per-decision cost
-// grows linearly with N; the engine's best-first ring walk stops at the
-// first ring that cannot beat the current best, so a denser index
-// *shortens* the walk and its per-decision cost grows sublinearly — the
-// curve BENCH_retrieval.json records (cells-visited percentiles come
-// straight from the engine's own RetrievalStats). The approx-guide series
+// Candidate-retrieval engine benchmark: per-decision cost of SimpleGreedy
+// under --retrieval=engine vs the paper's linear scan (and of TGOA, which
+// always searches through the engine), as the live-object count grows
+// over a fixed service region (the paper's Figure 4b axis — a city
+// densifying through the day). The linear scan pays the whole waiting set
+// per decision, so its per-decision cost grows linearly with N; the
+// engine's best-first ring walk stops at the first ring that cannot beat
+// the current best, so a denser index *shortens* the walk and its
+// per-decision cost grows sublinearly — the curve BENCH_retrieval.json
+// records (cells-visited percentiles come straight from the engine's own
+// RetrievalStats). The approx-guide series
 // measures the generation-time saving and the matched-utility gap of
 // sampled type-pair networks against the exact guide, with the per-run
 // certified loss bound alongside.
@@ -20,6 +21,7 @@
 #include <memory>
 #include <string>
 
+#include "bench_main.h"
 #include "core/algorithm_registry.h"
 #include "core/guide_generator.h"
 #include "gen/synthetic.h"
@@ -109,10 +111,6 @@ BENCHMARK_CAPTURE(BM_RetrievalEngine, tgoa, "tgoa")
     ->Arg(2000)
     ->Arg(8000)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_RetrievalLinear, tgoa, "tgoa")
-    ->Arg(2000)
-    ->Arg(8000)
-    ->Unit(benchmark::kMillisecond);
 
 /// Guide generation at a sampling rate, with the matched-utility gap
 /// against the exact guide and the per-run certified loss bound as
@@ -159,4 +157,6 @@ BENCHMARK_CAPTURE(BM_ApproxGuide, rate_25, 0.25)
 }  // namespace
 }  // namespace ftoa
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  return ftoa::bench::RunBenchmarkMain(argc, argv);
+}

@@ -14,6 +14,7 @@
 #include <memory>
 #include <string>
 
+#include "bench_main.h"
 #include "serve/service_harness.h"
 
 namespace ftoa {
@@ -139,4 +140,6 @@ BENCHMARK(BM_ServeFaulted)->Arg(24)->Unit(benchmark::kMillisecond);
 }  // namespace
 }  // namespace ftoa
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  return ftoa::bench::RunBenchmarkMain(argc, argv);
+}

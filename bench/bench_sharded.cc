@@ -14,6 +14,7 @@
 #include <memory>
 #include <string>
 
+#include "bench_main.h"
 #include "core/algorithm_registry.h"
 #include "core/guide_generator.h"
 #include "gen/synthetic.h"
@@ -222,4 +223,6 @@ BENCHMARK_CAPTURE(BM_ShardedGrid, gr_4k, "gr", 4000)
 }  // namespace
 }  // namespace ftoa
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  return ftoa::bench::RunBenchmarkMain(argc, argv);
+}

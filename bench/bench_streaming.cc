@@ -13,6 +13,7 @@
 #include <memory>
 #include <string>
 
+#include "bench_main.h"
 #include "core/algorithm_registry.h"
 #include "core/guide_generator.h"
 #include "gen/synthetic.h"
@@ -188,4 +189,6 @@ BENCHMARK_CAPTURE(BM_DecisionLatency, hybrid, "polar-op-g")
 }  // namespace
 }  // namespace ftoa
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  return ftoa::bench::RunBenchmarkMain(argc, argv);
+}

@@ -8,7 +8,7 @@
 
 #include "flow/dynamic_matching.h"
 #include "flow/hopcroft_karp.h"
-#include "spatial/grid_index.h"
+#include "retrieval/waiting_pool.h"
 
 namespace ftoa {
 
@@ -118,8 +118,8 @@ class GrIncrementalSession final : public GrSessionBase {
                        const GrBatchOptions& options)
       : GrSessionBase(instance, options),
         radius_(instance.MaxTaskDuration() * instance.velocity()),
-        task_index_(instance.spacetime().grid()),
-        worker_index_(instance.spacetime().grid()),
+        task_index_(instance.spacetime().grid(), &trace_.retrieval),
+        worker_index_(instance.spacetime().grid(), &trace_.retrieval),
         worker_slot_(static_cast<size_t>(instance.num_workers()), -1),
         task_slot_(static_cast<size_t>(instance.num_tasks()), -1) {
     matcher_.ReserveNodes(static_cast<size_t>(instance.num_workers()),
@@ -204,11 +204,11 @@ class GrIncrementalSession final : public GrSessionBase {
       }
       slot_task_[static_cast<size_t>(rslot)] = id;
       pool_tasks_.push_back(id);
-      task_index_.Insert(id, r.location);
+      task_index_.Insert(id, r.location, r.start, r.Deadline());
       worker_index_.ForEachInDisk(
-          r.location, radius_, [&](const IndexedPoint& entry, double d) {
+          r.location, radius_, [&](int64_t worker_id, double d) {
             const Worker& w =
-                instance().worker(static_cast<WorkerId>(entry.id));
+                instance().worker(static_cast<WorkerId>(worker_id));
             if (edge_ok(w, r, d)) {
               const int32_t lslot = worker_slot_[static_cast<size_t>(w.id)];
               matcher_.AddEdge(lslot, rslot);
@@ -233,10 +233,10 @@ class GrIncrementalSession final : public GrSessionBase {
         dirty_window_.resize(static_cast<size_t>(lslot) + 1, 0);
       }
       pool_workers_.push_back(id);
-      worker_index_.Insert(id, w.location);
+      worker_index_.Insert(id, w.location, w.start, w.Deadline());
       task_index_.ForEachInDisk(
-          w.location, radius_, [&](const IndexedPoint& entry, double d) {
-            const Task& r = instance().task(static_cast<TaskId>(entry.id));
+          w.location, radius_, [&](int64_t task_id, double d) {
+            const Task& r = instance().task(static_cast<TaskId>(task_id));
             if (edge_ok(w, r, d)) {
               matcher_.AddEdge(lslot,
                                task_slot_[static_cast<size_t>(r.id)]);
@@ -313,8 +313,8 @@ class GrIncrementalSession final : public GrSessionBase {
   // workers for the new-task edge queries.
   std::vector<WorkerId> pool_workers_;
   std::vector<TaskId> pool_tasks_;
-  GridIndex task_index_;
-  GridIndex worker_index_;
+  WaitingPool task_index_;
+  WaitingPool worker_index_;
   DynamicBipartiteMatcher matcher_;  // Left = workers, right = tasks.
   std::vector<int32_t> worker_slot_;
   std::vector<int32_t> task_slot_;
@@ -338,7 +338,7 @@ class GrRebuildSession final : public GrSessionBase {
   GrRebuildSession(const Instance& instance, const GrBatchOptions& options)
       : GrSessionBase(instance, options),
         max_dr_(instance.MaxTaskDuration()),
-        task_index_(instance.spacetime().grid()) {}
+        task_index_(instance.spacetime().grid(), &trace_.retrieval) {}
 
  protected:
   void ProcessWindow(int k) override {
@@ -350,7 +350,8 @@ class GrRebuildSession final : public GrSessionBase {
         boundary, [&](WorkerId id) { pool_workers_.push_back(id); },
         [&](TaskId id) {
           pool_tasks_.push_back(id);
-          task_index_.Insert(id, instance().task(id).location);
+          const Task& r = instance().task(id);
+          task_index_.Insert(id, r.location, r.start, r.Deadline());
         });
 
     // Evict expired objects.
@@ -394,9 +395,8 @@ class GrRebuildSession final : public GrSessionBase {
       // Pool tasks arrived at or before the boundary, so the arrival
       // condition boundary + d/v <= Sr + Dr implies d <= max_dr * v.
       task_index_.ForEachInDisk(
-          w.location, max_dr_ * velocity,
-          [&](const IndexedPoint& entry, double d) {
-            const Task& r = instance().task(static_cast<TaskId>(entry.id));
+          w.location, max_dr_ * velocity, [&](int64_t task_id, double d) {
+            const Task& r = instance().task(static_cast<TaskId>(task_id));
             if (!(r.start < w.Deadline())) return;
             if (options_.policy ==
                 FeasibilityPolicy::kDispatchAtAssignmentTime) {
@@ -408,7 +408,7 @@ class GrRebuildSession final : public GrSessionBase {
             }
             pending_edges.push_back(
                 PendingEdge{static_cast<int32_t>(wi),
-                            static_cast<TaskId>(entry.id)});
+                            static_cast<TaskId>(task_id)});
           });
     }
     if (pending_edges.empty()) return;
@@ -456,7 +456,7 @@ class GrRebuildSession final : public GrSessionBase {
   // a disk query instead of a full cross product.
   std::vector<WorkerId> pool_workers_;
   std::vector<TaskId> pool_tasks_;
-  GridIndex task_index_;
+  WaitingPool task_index_;
 };
 
 }  // namespace

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "flow/hopcroft_karp.h"
-#include "spatial/grid_index.h"
+#include "retrieval/waiting_pool.h"
 
 namespace ftoa {
 
@@ -18,17 +18,21 @@ namespace {
 void SolveOffline(const Instance& instance,
                   const std::vector<uint8_t>& worker_fed,
                   const std::vector<uint8_t>& task_fed,
-                  Assignment* assignment) {
+                  Assignment* assignment, RetrievalStats* stats) {
   const double velocity = instance.velocity();
   if (instance.num_workers() == 0 || instance.num_tasks() == 0) return;
 
   // Index tasks by location; for worker w the deadline constraint bounds
   // candidate tasks to d <= (Dr + Sr - Sw) * v with Sr - Sw < Dw, i.e. a
-  // disk of radius (max_dr + Dw) * v.
-  GridIndex task_index(instance.spacetime().grid());
+  // disk of radius (max_dr + Dw) * v. Every task is stored with start 0,
+  // so each cell bucket stays in id (= insertion) order and the disk
+  // queries enumerate (cell, id): Hopcroft-Karp sees the edges in the
+  // instance's order. Condition (2), Sr + Dr >= Sw + d / v, rules out a
+  // task whose deadline is before Sw, so each query prunes those.
+  WaitingPool task_index(instance.spacetime().grid(), stats);
   for (const Task& r : instance.tasks()) {
     if (task_fed[static_cast<size_t>(r.id)]) {
-      task_index.Insert(r.id, r.location);
+      task_index.Insert(r.id, r.location, 0.0, r.Deadline());
     }
   }
   const double max_dr = instance.MaxTaskDuration();
@@ -42,8 +46,8 @@ void SolveOffline(const Instance& instance,
     if (!worker_fed[static_cast<size_t>(w.id)]) continue;
     const double radius = (max_dr + w.duration) * velocity;
     task_index.ForEachInDisk(
-        w.location, radius, [&](const IndexedPoint& entry, double) {
-          const Task& r = instance.task(static_cast<TaskId>(entry.id));
+        w.location, radius, w.start, StartWindow{}, [&](int64_t id, double) {
+          const Task& r = instance.task(static_cast<TaskId>(id));
           if (CanServe(w, r, velocity,
                        FeasibilityPolicy::kDispatchAtWorkerStart)) {
             edges.emplace_back(w.id, r.id);
@@ -91,7 +95,8 @@ class OfflineOptSession final : public AssignmentSessionBase {
   void Flush() override {
     if (solved_) return;
     solved_ = true;
-    SolveOffline(instance(), worker_fed_, task_fed_, &assignment_);
+    SolveOffline(instance(), worker_fed_, task_fed_, &assignment_,
+                 &trace_.retrieval);
   }
 
  private:

@@ -15,14 +15,12 @@ namespace {
 
 /// Shared per-run state of both TGOA modes: the greedy-phase split (fixed
 /// by the instance's total object count — the arrival stream is exactly
-/// every object once), the waiting-pool backends, and the event counter
-/// that paces the lazy expiry sweeps.
+/// every object once), the waiting pools, and the event counter that
+/// paces the lazy expiry sweeps.
 ///
 /// Everything order-sensitive is canonicalized (candidate ids sorted
 /// before matcher edges are added, expiry sweeps erase in id order), so
-/// the run is bit-identical across waiting-pool backends — the
-/// engine-vs-reference contract of tests/retrieval/retrieval_mode_test.cc.
-template <typename Pool>
+/// the run does not depend on the pool's enumeration order.
 class TgoaSessionBase : public AssignmentSessionBase {
  public:
   TgoaSessionBase(const Instance& instance, const TgoaOptions& options)
@@ -57,8 +55,7 @@ class TgoaSessionBase : public AssignmentSessionBase {
 
   /// Call after each arrival: runs the periodic lazy expiry that keeps the
   /// pools (and the matching pools) small, then advances the counter.
-  /// Expired ids are erased in ascending id order — canonical across
-  /// backends.
+  /// Expired ids are erased in ascending id order.
   template <typename OnWorkerGone, typename OnTaskGone>
   void FinishEvent(double now, OnWorkerGone&& worker_gone,
                    OnTaskGone&& task_gone) {
@@ -82,8 +79,8 @@ class TgoaSessionBase : public AssignmentSessionBase {
   TgoaOptions options_;
   size_t greedy_phase_;
   size_t event_index_ = 0;
-  Pool waiting_workers_;
-  Pool waiting_tasks_;
+  WaitingPool waiting_workers_;
+  WaitingPool waiting_tasks_;
   double max_radius_;
   double max_task_duration_;
   double max_worker_duration_;
@@ -91,7 +88,7 @@ class TgoaSessionBase : public AssignmentSessionBase {
 
  private:
   template <typename DeadlineFn, typename OnEraseFn>
-  void SweepExpired(Pool& pool, double now, DeadlineFn&& deadline_of,
+  void SweepExpired(WaitingPool& pool, double now, DeadlineFn&& deadline_of,
                     OnEraseFn&& on_erase) {
     scratch_ids_.clear();
     pool.ForEachId([&](int64_t id) {
@@ -114,20 +111,10 @@ class TgoaSessionBase : public AssignmentSessionBase {
 // maximum matching of the revealed pool?" answered without rebuilding
 // anything. Committed pairs and expired objects are deactivated in place,
 // with the one-path repair restoring maximality.
-template <typename Pool>
-class TgoaIncrementalSession final : public TgoaSessionBase<Pool> {
-  using Base = TgoaSessionBase<Pool>;
-  using Base::assignment_;
-  using Base::instance;
-  using Base::max_radius_;
-  using Base::scratch_ids_;
-  using Base::trace_;
-  using Base::waiting_tasks_;
-  using Base::waiting_workers_;
-
+class TgoaIncrementalSession final : public TgoaSessionBase {
  public:
   TgoaIncrementalSession(const Instance& inst, const TgoaOptions& options)
-      : Base(inst, options),
+      : TgoaSessionBase(inst, options),
         worker_slot_(static_cast<size_t>(inst.num_workers()), -1),
         task_slot_(static_cast<size_t>(inst.num_tasks()), -1) {
     matcher_.ReserveNodes(static_cast<size_t>(inst.num_workers()),
@@ -142,12 +129,12 @@ class TgoaIncrementalSession final : public TgoaSessionBase<Pool> {
 
   void OnWorker(WorkerId worker, double time) override {
     const Worker& w = instance().worker(worker);
-    if (this->InGreedyPhase()) {
+    if (InGreedyPhase()) {
       const int64_t hit = waiting_tasks_.Nearest(
-          w.location, max_radius_, time, this->TaskWindow(time),
+          w.location, max_radius_, time, TaskWindow(time),
           [&](int64_t id, double) {
             const Task& r = instance().task(static_cast<TaskId>(id));
-            return this->GreedyFeasible(w, r) && r.Deadline() >= time;
+            return GreedyFeasible(w, r) && r.Deadline() >= time;
           });
       if (hit >= 0) {
         assignment_.Add(w.id, static_cast<TaskId>(hit), time);
@@ -174,12 +161,12 @@ class TgoaIncrementalSession final : public TgoaSessionBase<Pool> {
 
   void OnTask(TaskId task, double time) override {
     const Task& r = instance().task(task);
-    if (this->InGreedyPhase()) {
+    if (InGreedyPhase()) {
       const int64_t hit = waiting_workers_.Nearest(
-          r.location, max_radius_, time, this->WorkerWindow(time),
+          r.location, max_radius_, time, WorkerWindow(time),
           [&](int64_t id, double) {
             const Worker& w = instance().worker(static_cast<WorkerId>(id));
-            return this->GreedyFeasible(w, r) && w.Deadline() >= time;
+            return GreedyFeasible(w, r) && w.Deadline() >= time;
           });
       if (hit >= 0) {
         assignment_.Add(static_cast<WorkerId>(hit), r.id, time);
@@ -217,17 +204,17 @@ class TgoaIncrementalSession final : public TgoaSessionBase<Pool> {
   /// Joins the waiting pool: node slot plus candidate edges against the
   /// opposite waiting side (computed once; feasibility never changes).
   /// Edges are added in ascending counterpart id — a canonical order,
-  /// independent of the pool backend's enumeration.
+  /// independent of the pool's enumeration.
   int32_t EnterWorker(const Worker& w) {
     const int32_t lslot = matcher_.AddLeft();
     worker_slot_[static_cast<size_t>(w.id)] = lslot;
     slot_worker_.push_back(w.id);
     scratch_ids_.clear();
     waiting_tasks_.ForEachInDisk(
-        w.location, max_radius_, w.start, this->TaskWindow(w.start),
+        w.location, max_radius_, w.start, TaskWindow(w.start),
         [&](int64_t id, double) {
           const Task& r = instance().task(static_cast<TaskId>(id));
-          if (this->GreedyFeasible(w, r)) scratch_ids_.push_back(id);
+          if (GreedyFeasible(w, r)) scratch_ids_.push_back(id);
         });
     std::sort(scratch_ids_.begin(), scratch_ids_.end());
     for (const int64_t id : scratch_ids_) {
@@ -241,10 +228,10 @@ class TgoaIncrementalSession final : public TgoaSessionBase<Pool> {
     slot_task_.push_back(r.id);
     scratch_ids_.clear();
     waiting_workers_.ForEachInDisk(
-        r.location, max_radius_, r.start, this->WorkerWindow(r.start),
+        r.location, max_radius_, r.start, WorkerWindow(r.start),
         [&](int64_t id, double) {
           const Worker& w = instance().worker(static_cast<WorkerId>(id));
-          if (this->GreedyFeasible(w, r)) scratch_ids_.push_back(id);
+          if (GreedyFeasible(w, r)) scratch_ids_.push_back(id);
         });
     std::sort(scratch_ids_.begin(), scratch_ids_.end());
     for (const int64_t id : scratch_ids_) {
@@ -254,7 +241,7 @@ class TgoaIncrementalSession final : public TgoaSessionBase<Pool> {
   }
 
   void SweepAndCount(double now) {
-    this->FinishEvent(
+    FinishEvent(
         now,
         [&](int64_t id) {
           matcher_.RemoveLeft(worker_slot_[static_cast<size_t>(id)]);
@@ -278,28 +265,19 @@ class TgoaIncrementalSession final : public TgoaSessionBase<Pool> {
 // O(E sqrt(V))-per-arrival scalability weakness of [26] that POLAR's O(1)
 // removes. Kept for the incremental-equivalence tests and as the baseline
 // leg of the flow microbenches.
-template <typename Pool>
-class TgoaRebuildSession final : public TgoaSessionBase<Pool> {
-  using Base = TgoaSessionBase<Pool>;
-  using Base::assignment_;
-  using Base::instance;
-  using Base::max_radius_;
-  using Base::trace_;
-  using Base::waiting_tasks_;
-  using Base::waiting_workers_;
-
+class TgoaRebuildSession final : public TgoaSessionBase {
  public:
-  using Base::Base;
+  using TgoaSessionBase::TgoaSessionBase;
 
   void OnWorker(WorkerId worker, double time) override {
     const Worker& w = instance().worker(worker);
     TaskId partner = -1;
-    if (this->InGreedyPhase()) {
+    if (InGreedyPhase()) {
       const int64_t hit = waiting_tasks_.Nearest(
-          w.location, max_radius_, time, this->TaskWindow(time),
+          w.location, max_radius_, time, TaskWindow(time),
           [&](int64_t id, double) {
             const Task& r = instance().task(static_cast<TaskId>(id));
-            return this->GreedyFeasible(w, r) && r.Deadline() >= time;
+            return GreedyFeasible(w, r) && r.Deadline() >= time;
           });
       partner = hit >= 0 ? static_cast<TaskId>(hit) : -1;
     } else {
@@ -311,18 +289,18 @@ class TgoaRebuildSession final : public TgoaSessionBase<Pool> {
     } else {
       waiting_workers_.Insert(w.id, w.location, w.start, w.Deadline());
     }
-    this->FinishEvent(time, [](int64_t) {}, [](int64_t) {});
+    FinishEvent(time, [](int64_t) {}, [](int64_t) {});
   }
 
   void OnTask(TaskId task, double time) override {
     const Task& r = instance().task(task);
     WorkerId partner = -1;
-    if (this->InGreedyPhase()) {
+    if (InGreedyPhase()) {
       const int64_t hit = waiting_workers_.Nearest(
-          r.location, max_radius_, time, this->WorkerWindow(time),
+          r.location, max_radius_, time, WorkerWindow(time),
           [&](int64_t id, double) {
             const Worker& w = instance().worker(static_cast<WorkerId>(id));
-            return this->GreedyFeasible(w, r) && w.Deadline() >= time;
+            return GreedyFeasible(w, r) && w.Deadline() >= time;
           });
       partner = hit >= 0 ? static_cast<WorkerId>(hit) : -1;
     } else {
@@ -334,14 +312,14 @@ class TgoaRebuildSession final : public TgoaSessionBase<Pool> {
     } else {
       waiting_tasks_.Insert(r.id, r.location, r.start, r.Deadline());
     }
-    this->FinishEvent(time, [](int64_t) {}, [](int64_t) {});
+    FinishEvent(time, [](int64_t) {}, [](int64_t) {});
   }
 
  private:
   /// Feasible counterpart ids of `origin` in the given pool, ascending —
-  /// the canonical edge enumeration shared by both pool backends.
-  template <typename OtherPool, typename FeasibleFn>
-  std::vector<int64_t> SortedCandidates(OtherPool& pool, Point origin,
+  /// the canonical edge enumeration.
+  template <typename FeasibleFn>
+  std::vector<int64_t> SortedCandidates(WaitingPool& pool, Point origin,
                                         double query_time,
                                         StartWindow window,
                                         FeasibleFn&& feasible) {
@@ -358,7 +336,7 @@ class TgoaRebuildSession final : public TgoaSessionBase<Pool> {
   // committed only when it is matched in a maximum matching of all
   // currently waiting (unmatched, alive) objects plus itself. All
   // enumerations are id-sorted, so slot numbering — and hence the solved
-  // matching — is canonical across pool backends.
+  // matching — is canonical.
   TaskId OptimalPartnerForWorker(const Worker& w) {
     std::vector<TaskId> right;
     std::unordered_map<int64_t, int32_t> right_slot;
@@ -378,8 +356,8 @@ class TgoaRebuildSession final : public TgoaSessionBase<Pool> {
       const int32_t lid = num_left++;
       for (const int64_t id : SortedCandidates(
                waiting_tasks_, candidate.location, candidate.start,
-               this->TaskWindow(candidate.start), [&](int64_t task_id) {
-                 return this->GreedyFeasible(
+               TaskWindow(candidate.start), [&](int64_t task_id) {
+                 return GreedyFeasible(
                      candidate,
                      instance().task(static_cast<TaskId>(task_id)));
                })) {
@@ -423,8 +401,8 @@ class TgoaRebuildSession final : public TgoaSessionBase<Pool> {
       const int32_t lid = num_left++;
       for (const int64_t id : SortedCandidates(
                waiting_workers_, candidate.location, candidate.start,
-               this->WorkerWindow(candidate.start), [&](int64_t worker_id) {
-                 return this->GreedyFeasible(
+               WorkerWindow(candidate.start), [&](int64_t worker_id) {
+                 return GreedyFeasible(
                      instance().worker(static_cast<WorkerId>(worker_id)),
                      candidate);
                })) {
@@ -458,19 +436,9 @@ Tgoa::Tgoa(TgoaOptions options) : options_(options) {}
 std::unique_ptr<AssignmentSession> Tgoa::StartSession(
     const Instance& instance) {
   if (options_.incremental_matching) {
-    if (options_.retrieval == RetrievalMode::kEngine) {
-      return std::make_unique<TgoaIncrementalSession<EngineWaitingPool>>(
-          instance, options_);
-    }
-    return std::make_unique<TgoaIncrementalSession<GridWaitingPool>>(
-        instance, options_);
+    return std::make_unique<TgoaIncrementalSession>(instance, options_);
   }
-  if (options_.retrieval == RetrievalMode::kEngine) {
-    return std::make_unique<TgoaRebuildSession<EngineWaitingPool>>(instance,
-                                                                   options_);
-  }
-  return std::make_unique<TgoaRebuildSession<GridWaitingPool>>(instance,
-                                                               options_);
+  return std::make_unique<TgoaRebuildSession>(instance, options_);
 }
 
 }  // namespace ftoa

@@ -15,7 +15,6 @@
 #define FTOA_BASELINES_TGOA_H_
 
 #include "core/online_algorithm.h"
-#include "retrieval/mode.h"
 
 namespace ftoa {
 
@@ -36,13 +35,6 @@ struct TgoaOptions {
   /// the incremental-equivalence tests; RunTrace::matcher_rebuilds tells
   /// the two apart.
   bool incremental_matching = true;
-
-  /// kEngine backs both waiting pools with the shared retrieval engine
-  /// (deadline/time-window pruning, per-query stats in the RunTrace)
-  /// instead of the raw grid index. Candidate enumeration is canonicalized
-  /// (id-sorted) before any matcher sees it, so the assignment is
-  /// bit-identical across modes.
-  RetrievalMode retrieval = RetrievalMode::kLinear;
 };
 
 /// The TGOA baseline.

@@ -34,21 +34,20 @@ Result<std::unique_ptr<OnlineAlgorithm>> CreateAlgorithm(
                                    "' requires an offline guide "
                                    "(AlgorithmDeps::guide is null)");
   }
-  // The master switch only ever upgrades to the engine; per-struct settings
-  // survive when it is left at the kLinear default.
-  const bool engine = deps.retrieval == RetrievalMode::kEngine;
   if (name == "simple-greedy") {
+    // The master switch only ever upgrades to the engine; the struct's
+    // setting survives when it is left at the kLinear default.
     SimpleGreedyOptions options = deps.simple_greedy_options;
-    if (engine) options.retrieval = RetrievalMode::kEngine;
+    if (deps.retrieval == RetrievalMode::kEngine) {
+      options.retrieval = RetrievalMode::kEngine;
+    }
     return std::unique_ptr<OnlineAlgorithm>(new SimpleGreedy(options));
   }
   if (name == "gr") {
     return std::unique_ptr<OnlineAlgorithm>(new GrBatch(deps.gr_options));
   }
   if (name == "tgoa") {
-    TgoaOptions options = deps.tgoa_options;
-    if (engine) options.retrieval = RetrievalMode::kEngine;
-    return std::unique_ptr<OnlineAlgorithm>(new Tgoa(options));
+    return std::unique_ptr<OnlineAlgorithm>(new Tgoa(deps.tgoa_options));
   }
   if (name == "polar") {
     return std::unique_ptr<OnlineAlgorithm>(
@@ -59,10 +58,8 @@ Result<std::unique_ptr<OnlineAlgorithm>> CreateAlgorithm(
         new PolarOp(deps.guide, deps.polar_options));
   }
   if (name == "polar-op-g") {
-    PolarOptions options = deps.polar_options;
-    if (engine) options.retrieval = RetrievalMode::kEngine;
     return std::unique_ptr<OnlineAlgorithm>(
-        new HybridPolarOp(deps.guide, options));
+        new HybridPolarOp(deps.guide, deps.polar_options));
   }
   if (name == "opt") {
     return std::unique_ptr<OnlineAlgorithm>(new OfflineOpt());

@@ -35,9 +35,9 @@ struct AlgorithmDeps {
   GrBatchOptions gr_options;
 
   /// Master candidate-retrieval switch (the CLI's --retrieval flag). When
-  /// set to kEngine it overrides the per-algorithm option structs above for
-  /// every algorithm that scans candidates spatially (simple-greedy, tgoa,
-  /// polar-op-g); kLinear (the default) leaves the structs untouched.
+  /// set to kEngine it overrides simple_greedy_options.retrieval; kLinear
+  /// (the default) leaves the struct untouched. Every other algorithm
+  /// always searches through the retrieval engine.
   RetrievalMode retrieval = RetrievalMode::kLinear;
 };
 

@@ -21,11 +21,7 @@ struct WaitQueue {
 };
 
 /// One POLAR-OP+G run: POLAR-OP's node queues plus the greedy-fallback
-/// waiting pools, hoisted into session state. The pool backend is a
-/// template knob (GridWaitingPool = historical grid index;
-/// EngineWaitingPool = shared retrieval engine with pruning + stats);
-/// Nearest answers are canonical either way, so runs are bit-identical.
-template <typename Pool>
+/// waiting pools, hoisted into session state.
 class HybridPolarOpSession final : public AssignmentSessionBase {
  public:
   HybridPolarOpSession(const Instance& instance,
@@ -43,8 +39,8 @@ class HybridPolarOpSession final : public AssignmentSessionBase {
             static_cast<size_t>(guide_->spacetime().num_types()), 0),
         // Greedy fallback state: every unmatched waiting object is pooled
         // at its *initial* location. Entries are erased when matched (via
-        // either path); expired entries are filtered out by the feasibility
-        // predicate (and pruned up front by the engine backend).
+        // either path); expired entries are pruned up front by the engine
+        // and filtered out by the feasibility predicate.
         waiting_workers_(guide_->spacetime().grid(), &trace_.retrieval),
         waiting_tasks_(guide_->spacetime().grid(), &trace_.retrieval),
         max_radius_(MaxFeasibleDistance(instance.MaxTaskDuration(),
@@ -216,8 +212,8 @@ class HybridPolarOpSession final : public AssignmentSessionBase {
   std::vector<WaitQueue> waiting_at_task_node_;
   std::vector<uint32_t> worker_type_cursor_;
   std::vector<uint32_t> task_type_cursor_;
-  Pool waiting_workers_;
-  Pool waiting_tasks_;
+  WaitingPool waiting_workers_;
+  WaitingPool waiting_tasks_;
   double max_radius_;
   double max_task_duration_;
   double max_worker_duration_;
@@ -231,12 +227,7 @@ HybridPolarOp::HybridPolarOp(std::shared_ptr<const OfflineGuide> guide,
 
 std::unique_ptr<AssignmentSession> HybridPolarOp::StartSession(
     const Instance& instance) {
-  if (options_.retrieval == RetrievalMode::kEngine) {
-    return std::make_unique<HybridPolarOpSession<EngineWaitingPool>>(
-        instance, guide_, options_);
-  }
-  return std::make_unique<HybridPolarOpSession<GridWaitingPool>>(
-      instance, guide_, options_);
+  return std::make_unique<HybridPolarOpSession>(instance, guide_, options_);
 }
 
 }  // namespace ftoa

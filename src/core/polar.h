@@ -14,7 +14,6 @@
 
 #include "core/guide.h"
 #include "core/online_algorithm.h"
-#include "retrieval/mode.h"
 
 namespace ftoa {
 
@@ -25,13 +24,6 @@ struct PolarOptions {
   /// analysis assumes guide-feasible pairs always realize ("guide-trust");
   /// the liveness check is a strictly-safer variant used in ablations.
   bool check_liveness = false;
-
-  /// Backend of HybridPolarOp's greedy-fallback candidate scans. kEngine
-  /// uses the shared retrieval engine (deadline/time-window pruning plus
-  /// per-query stats in the RunTrace); the fallback's nearest answers are
-  /// canonical under both backends, so the assignment is bit-identical.
-  /// Plain POLAR / POLAR-OP have no spatial scans and ignore this.
-  RetrievalMode retrieval = RetrievalMode::kLinear;
 };
 
 /// The POLAR algorithm. Sessions share the (immutable) guide.

@@ -48,10 +48,9 @@ bool CandidateStore::Erase(int64_t id) {
   bucket[static_cast<size_t>(slot.offset)].id = -1;
   int32_t& dead = dead_[static_cast<size_t>(slot.cell)];
   ++dead;
-  // Compact once half the bucket is tombstones (and it is worth the walk):
-  // scans stay O(live) amortized and the sort order is preserved.
-  if (dead >= 8 &&
-      static_cast<size_t>(dead) * 2 >= bucket.size()) {
+  // Compact once half the bucket is tombstones: scans stay O(live), each
+  // erase pays O(1) amortized moves, and the sort order is preserved.
+  if (static_cast<size_t>(dead) * 2 >= bucket.size()) {
     CompactBucket(slot.cell);
   }
   return true;
@@ -63,8 +62,10 @@ void CandidateStore::CompactBucket(CellId cell) {
   size_t write = 0;
   for (size_t read = 0; read < bucket.size(); ++read) {
     if (bucket[read].id < 0) continue;
-    bucket[write] = bucket[read];
-    locator_[bucket[write].id].offset = static_cast<int32_t>(write);
+    if (write != read) {
+      bucket[write] = bucket[read];
+      locator_[bucket[write].id].offset = static_cast<int32_t>(write);
+    }
     ++write;
   }
   bucket.resize(write);

@@ -1,7 +1,8 @@
-// Which candidate-search backend a ported algorithm uses for its waiting
-// pools. The modes are output-equivalent by contract — the engine's queries
-// answer the same canonical (distance, id)-ordered candidate sets as the
-// historical scans — so the flag trades running time, never assignments
+// Which candidate search SimpleGreedy runs: the paper's linear scan or the
+// shared retrieval engine. Every other algorithm always searches through
+// the engine. The modes are output-equivalent by contract — the engine's
+// queries answer the same canonical (distance, id)-ordered candidates as
+// the scan — so the flag trades running time, never assignments
 // (property-tested in tests/retrieval/retrieval_mode_test.cc).
 
 #ifndef FTOA_RETRIEVAL_MODE_H_
@@ -16,8 +17,7 @@ namespace ftoa {
 
 /// Candidate-search backend selector (`ftoa run --retrieval=...`).
 enum class RetrievalMode {
-  /// The pre-engine reference paths: SimpleGreedy's paper-faithful linear
-  /// scan, and the direct grid-index scans of TGOA and the POLAR fallback.
+  /// SimpleGreedy's paper-faithful linear scan over all waiting objects.
   kLinear,
   /// The shared top-k engine (retrieval/candidate_engine.h): best-first
   /// expanding-ring search with deadline/time-window pruning and per-query

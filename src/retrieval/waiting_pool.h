@@ -1,104 +1,35 @@
-// Waiting-pool backends for the ported per-arrival algorithms. A session
-// template (greedy / TGOA / POLAR fallback) is instantiated once per
-// backend, so the *only* difference between `--retrieval=linear` and
-// `--retrieval=engine` is the candidate search itself:
+// The waiting pool of the per-arrival algorithms (greedy, TGOA, the
+// POLAR-OP+G fallback) and of the batched baselines (GR, OPT): a
+// CandidateStore plus one reusable CandidateCursor, keyed by object id.
+// Queries prune by deadline and arrival-time window *before* the caller's
+// filter runs and account per-query stats into the session's RunTrace.
 //
-//  * GridWaitingPool — the historical direct GridIndex scans. Queries
-//    ignore the time attributes; the caller's feasibility filter is the
-//    only pruning beyond the search radius.
-//  * EngineWaitingPool — a CandidateStore + per-session CandidateCursor.
-//    Queries additionally prune by deadline and arrival-time window
-//    *before* the filter runs, and account per-query stats into the
-//    session's RunTrace.
-//
-// Both backends answer Nearest in the canonical (distance, id) order, so
-// sessions are bit-identical across backends; disk enumeration order is
-// backend-dependent, which is why callers sort what they collect.
+// Nearest answers are canonical (distance, id); disk enumeration runs in
+// (cell, start, id) order, a function of the live set alone.
 
 #ifndef FTOA_RETRIEVAL_WAITING_POOL_H_
 #define FTOA_RETRIEVAL_WAITING_POOL_H_
 
 #include <cstdint>
 #include <limits>
-#include <utility>
 
 #include "retrieval/candidate_engine.h"
-#include "spatial/grid_index.h"
 
 namespace ftoa {
 
-/// Historical backend: a GridIndex keyed by object id and location.
-class GridWaitingPool {
+/// Id-keyed CandidateStore + one cursor per pool.
+class WaitingPool {
  public:
-  GridWaitingPool(const GridSpec& grid, RetrievalStats* stats)
-      : index_(grid) {
-    (void)stats;  // The reference path is deliberately uninstrumented.
-  }
-
-  void Insert(int64_t id, Point location, double start, double deadline) {
-    (void)start;
-    (void)deadline;
-    index_.Insert(id, location);
-  }
-  bool Erase(int64_t id) { return index_.Erase(id); }
-  bool Contains(int64_t id) const { return index_.Contains(id); }
-  size_t size() const { return index_.size(); }
-
-  /// Nearest entry within `max_distance` passing `filter(id, distance)`,
-  /// or -1. Canonical (distance, id) tie-break.
-  template <typename FilterFn>
-  int64_t Nearest(Point origin, double max_distance, double query_time,
-                  StartWindow window, FilterFn&& filter) const {
-    (void)query_time;
-    (void)window;
-    const IndexedPoint hit = index_.FindNearest(
-        origin, max_distance, [&](const IndexedPoint& entry, double d) {
-          return filter(entry.id, d);
-        });
-    return hit.id;
-  }
-
-  /// Invokes `fn(id, distance)` for every entry within `radius`;
-  /// backend-dependent order.
-  template <typename Fn>
-  void ForEachInDisk(Point origin, double radius, double query_time,
-                     StartWindow window, Fn&& fn) const {
-    (void)query_time;
-    (void)window;
-    index_.ForEachInDisk(origin, radius,
-                         [&](const IndexedPoint& entry, double d) {
-                           fn(entry.id, d);
-                         });
-  }
-
-  /// Invokes `fn(id)` for every entry; backend-dependent order.
-  template <typename Fn>
-  void ForEachId(Fn&& fn) const {
-    index_.ForEachInDisk({index_.grid().width() / 2,
-                          index_.grid().height() / 2},
-                         std::numeric_limits<double>::max(),
-                         [&](const IndexedPoint& entry, double) {
-                           fn(entry.id);
-                         });
-  }
-
- private:
-  GridIndex index_;
-};
-
-/// Engine backend: CandidateStore + one reusable cursor per pool.
-class EngineWaitingPool {
- public:
-  EngineWaitingPool(const GridSpec& grid, RetrievalStats* stats)
+  WaitingPool(const GridSpec& grid, RetrievalStats* stats)
       : store_(grid), cursor_(&store_, stats) {}
 
   void Insert(int64_t id, Point location, double start, double deadline) {
     store_.Insert(RetrievalCandidate{id, location, start, deadline});
   }
   bool Erase(int64_t id) { return store_.Erase(id); }
-  bool Contains(int64_t id) const { return store_.Contains(id); }
-  size_t size() const { return store_.size(); }
 
+  /// Nearest entry within `max_distance` with start in `window` and
+  /// deadline >= `query_time` passing `filter(id, distance)`, or -1.
   template <typename FilterFn>
   int64_t Nearest(Point origin, double max_distance, double query_time,
                   StartWindow window, FilterFn&& filter) {
@@ -110,6 +41,8 @@ class EngineWaitingPool {
     return hit.id;
   }
 
+  /// Invokes `fn(id, distance)` for every entry within `radius` with start
+  /// in `window` and deadline >= `query_time`.
   template <typename Fn>
   void ForEachInDisk(Point origin, double radius, double query_time,
                      StartWindow window, Fn&& fn) {
@@ -119,6 +52,14 @@ class EngineWaitingPool {
                           });
   }
 
+  /// Disk query without time pruning: every entry within `radius`.
+  template <typename Fn>
+  void ForEachInDisk(Point origin, double radius, Fn&& fn) {
+    ForEachInDisk(origin, radius, -std::numeric_limits<double>::infinity(),
+                  StartWindow{}, fn);
+  }
+
+  /// Invokes `fn(id)` for every entry, in (cell, start, id) order.
   template <typename Fn>
   void ForEachId(Fn&& fn) const {
     store_.ForEach([&](const RetrievalCandidate& c) { fn(c.id); });

@@ -81,11 +81,11 @@ struct ServiceOptions {
   int shard_threads = 1;
   bool reconcile = false;
 
-  /// Candidate-retrieval backend of the served algorithms (the CLI's
-  /// --retrieval flag). kEngine routes every spatial candidate scan —
-  /// including the degraded-greedy rung's — through the shared retrieval
-  /// engine and surfaces its per-query stats in the rotation window's
-  /// WindowMetrics. Assignments are bit-identical across modes.
+  /// SimpleGreedy's candidate search (the CLI's --retrieval flag): the
+  /// paper's linear scan or the shared retrieval engine. It reaches the
+  /// degraded-greedy rung and a served "simple-greedy"; every other
+  /// algorithm always searches through the engine. Assignments are
+  /// bit-identical across modes.
   RetrievalMode retrieval = RetrievalMode::kLinear;
 
   /// Windows per session segment; 0 = a full day (slots_per_day). Clamped
@@ -176,8 +176,9 @@ struct WindowMetrics {
   int64_t matched = 0;
 
   /// Candidate-retrieval stats of the rotated segment (attributed to the
-  /// rotation window, like `matched`). All-zero in linear mode and for
-  /// non-rotation windows.
+  /// rotation window, like `matched`). All-zero for non-rotation windows
+  /// and for segments whose algorithm makes no engine queries (POLAR,
+  /// POLAR-OP, and SimpleGreedy in linear mode).
   int64_t retrieval_queries = 0;
   int64_t candidates_examined = 0;
   int64_t cells_visited_p50 = 0;

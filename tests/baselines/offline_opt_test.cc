@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "baselines/gr_batch.h"
 #include "baselines/simple_greedy.h"
@@ -15,7 +18,54 @@
 namespace ftoa {
 namespace {
 
+using ftoa::testing::AllArrivalPatterns;
+using ftoa::testing::ArrivalPatternName;
 using ftoa::testing::MakeExample1Instance;
+using ftoa::testing::MakeFuzzInstance;
+
+/// Maximum matching size over every CanServe pair of the full cross
+/// product, by plain augmenting paths (Kuhn) — no spatial query and no
+/// shared matcher code, so an edge OPT's candidate search drops shows up
+/// as a smaller OPT.
+size_t BruteForceMaximumMatching(const Instance& instance) {
+  const size_t num_workers = static_cast<size_t>(instance.num_workers());
+  const size_t num_tasks = static_cast<size_t>(instance.num_tasks());
+  std::vector<std::vector<size_t>> adjacent(num_workers);
+  for (const Worker& w : instance.workers()) {
+    for (const Task& r : instance.tasks()) {
+      if (CanServe(w, r, instance.velocity(),
+                   FeasibilityPolicy::kDispatchAtWorkerStart)) {
+        adjacent[static_cast<size_t>(w.id)].push_back(
+            static_cast<size_t>(r.id));
+      }
+    }
+  }
+  std::vector<int64_t> match_of_task(num_tasks, -1);
+  std::vector<bool> visited;
+  struct Augmenter {
+    const std::vector<std::vector<size_t>>& adjacent;
+    std::vector<int64_t>& match_of_task;
+    std::vector<bool>& visited;
+    bool Run(size_t worker) {
+      for (const size_t task : adjacent[worker]) {
+        if (visited[task]) continue;
+        visited[task] = true;
+        if (match_of_task[task] < 0 ||
+            Run(static_cast<size_t>(match_of_task[task]))) {
+          match_of_task[task] = static_cast<int64_t>(worker);
+          return true;
+        }
+      }
+      return false;
+    }
+  } augmenter{adjacent, match_of_task, visited};
+  size_t matched = 0;
+  for (size_t worker = 0; worker < num_workers; ++worker) {
+    visited.assign(num_tasks, false);
+    if (augmenter.Run(worker)) ++matched;
+  }
+  return matched;
+}
 
 TEST(OfflineOptTest, Example1AchievesSix) {
   // Figure 1c: with movement allowed and full knowledge, all six tasks are
@@ -48,6 +98,23 @@ TEST(OfflineOptTest, InfeasiblePairsNeverMatched) {
   const Instance instance(st, 1.0, std::move(workers), std::move(tasks));
   OfflineOpt opt;
   EXPECT_EQ(opt.Run(instance).size(), 0u);
+}
+
+TEST(OfflineOptTest, MatchesBruteForceMaximumOnFuzzInstances) {
+  // OPT must find a maximum matching of the *whole* feasible pair set:
+  // its spatial candidate search may skip only pairs CanServe rejects.
+  size_t total = 0;
+  for (const auto pattern : AllArrivalPatterns()) {
+    for (const uint64_t seed : {1u, 2u, 3u, 4u}) {
+      const Instance instance = MakeFuzzInstance(seed, pattern);
+      const size_t want = BruteForceMaximumMatching(instance);
+      OfflineOpt opt;
+      EXPECT_EQ(opt.Run(instance).size(), want)
+          << ArrivalPatternName(pattern) << " seed " << seed;
+      total += want;
+    }
+  }
+  EXPECT_GT(total, 0u);  // The sweep exercised real matchings.
 }
 
 TEST(OfflineOptTest, DecisionTimeIsLaterArrival) {

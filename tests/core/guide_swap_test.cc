@@ -101,7 +101,7 @@ TEST(GuideSwapTest, PolarOpSwapReleasesWaitQueues) {
 }
 
 TEST(GuideSwapTest, HybridKeepsGreedyFallbackAcrossSwap) {
-  // The hybrid's grid indexes are guide-independent: workers released from
+  // The hybrid's waiting pools are guide-independent: workers released from
   // the node queues by the swap remain reachable through the fallback, so
   // the post-swap tasks still match.
   const Instance instance = MakeExample1Instance();

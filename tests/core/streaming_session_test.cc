@@ -280,10 +280,10 @@ TEST(AlgorithmRegistryTest, GuideRequirementIsEnforced) {
 
 TEST(AlgorithmRegistryTest, DepsOptionsReachTheAlgorithms) {
   AlgorithmDeps deps;
-  deps.simple_greedy_options.use_spatial_index = true;
+  deps.simple_greedy_options.retrieval = RetrievalMode::kEngine;
   auto greedy = CreateAlgorithm("simple-greedy", deps);
   ASSERT_TRUE(greedy.ok());
-  EXPECT_EQ((*greedy)->name(), "SimpleGreedy-Idx");
+  EXPECT_EQ((*greedy)->name(), "SimpleGreedy-Eng");
 }
 
 }  // namespace

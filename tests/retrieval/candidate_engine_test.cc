@@ -12,6 +12,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "retrieval/stats.h"
@@ -162,8 +164,8 @@ TEST(CandidateCursorTest, DeadlineAtQueryTimeIsStillFeasible) {
 
 TEST(CandidateCursorTest, ErasedEntriesStayInvisibleThroughCompaction) {
   CandidateStore store(MakeGrid());
-  // 20 entries in one cell; erasing 16 forces CompactBucket (dead >= 8 and
-  // half the bucket). Survivors must still be found, in order.
+  // 20 entries in one cell; erasing 16 forces CompactBucket (half the
+  // bucket dead) more than once. Survivors must still be found, in order.
   for (int64_t id = 0; id < 20; ++id) {
     store.Insert(Entry(id, 5.0, 5.0 + 0.1 * static_cast<double>(id),
                        static_cast<double>(id), 100.0));
@@ -281,6 +283,289 @@ TEST(CandidateCursorTest, ForEachInDiskMatchesOracleAsASet) {
   EXPECT_EQ(got, want);
   EXPECT_FALSE(want.empty());  // The sweep actually exercised something.
 }
+
+// Spatial edge cases of both query kinds: radius limits, cell-edge
+// points, the ring walk's early exit, and brute-force agreement.
+
+TEST(CandidateStoreTest, BucketHoldsExactlyItsCellsEntries) {
+  CandidateStore store(MakeGrid());
+  store.Insert(Entry(1, 5.0, 5.0, 0.0, 10.0));
+  store.Insert(Entry(2, 6.0, 6.0, 0.0, 10.0));
+  store.Insert(Entry(3, 55.0, 55.0, 0.0, 10.0));
+  const auto& bucket = store.bucket(store.grid().CellOf({5.0, 5.0}));
+  ASSERT_EQ(bucket.size(), 2u);
+  EXPECT_EQ(bucket[0].id, 1);
+  EXPECT_EQ(bucket[1].id, 2);
+}
+
+TEST(CandidateStoreTest, ErasedIdIsGoneFromQueries) {
+  CandidateStore store(MakeGrid());
+  store.Insert(Entry(1, 5.0, 5.0, 0.0, 10.0));
+  store.Insert(Entry(2, 50.0, 50.0, 0.0, 10.0));
+  EXPECT_EQ(store.size(), 2u);
+  EXPECT_TRUE(store.Erase(1));
+  EXPECT_FALSE(store.Contains(1));
+  EXPECT_FALSE(store.Erase(1));
+  EXPECT_EQ(store.size(), 1u);
+  CandidateCursor cursor(&store, nullptr);
+  EXPECT_EQ(
+      cursor.Nearest({5.0, 5.0}, 100.0, 0.0, StartWindow{}, AcceptAll).id, 2);
+}
+
+TEST(CandidateStoreTest, ReinsertMovesPoint) {
+  CandidateStore store(MakeGrid());
+  store.Insert(Entry(1, 5.0, 5.0, 0.0, 10.0));
+  store.Insert(Entry(1, 95.0, 95.0, 0.0, 10.0));
+  EXPECT_EQ(store.size(), 1u);
+  CandidateCursor cursor(&store, nullptr);
+  EXPECT_EQ(
+      cursor.Nearest({95.0, 95.0}, 1.0, 0.0, StartWindow{}, AcceptAll).id, 1);
+  // The old location answers nothing any more.
+  EXPECT_EQ(
+      cursor.Nearest({5.0, 5.0}, 1.0, 0.0, StartWindow{}, AcceptAll).id, -1);
+}
+
+TEST(CandidateCursorTest, NearestAppliesFilter) {
+  CandidateStore store(MakeGrid());
+  store.Insert(Entry(1, 10.0, 10.0, 0.0, 10.0));
+  store.Insert(Entry(2, 12.0, 10.0, 0.0, 10.0));
+  CandidateCursor cursor(&store, nullptr);
+  EXPECT_EQ(cursor
+                .Nearest({10.0, 10.0}, 50.0, 0.0, StartWindow{},
+                         [](const RetrievalCandidate& e, double) {
+                           return e.id != 1;
+                         })
+                .id,
+            2);
+}
+
+TEST(CandidateCursorTest, EmptyStoreNearestReturnsMiss) {
+  CandidateStore store(MakeGrid());
+  CandidateCursor cursor(&store, nullptr);
+  EXPECT_EQ(
+      cursor.Nearest({50.0, 50.0}, 100.0, 0.0, StartWindow{}, AcceptAll).id,
+      -1);
+}
+
+TEST(CandidateCursorTest, NearestBasic) {
+  CandidateStore store(MakeGrid());
+  store.Insert(Entry(1, 10.0, 10.0, 0.0, 10.0));
+  store.Insert(Entry(2, 20.0, 10.0, 0.0, 10.0));
+  store.Insert(Entry(3, 90.0, 90.0, 0.0, 10.0));
+  CandidateCursor cursor(&store, nullptr);
+  EXPECT_EQ(
+      cursor.Nearest({12.0, 10.0}, 100.0, 0.0, StartWindow{}, AcceptAll).id,
+      1);
+}
+
+TEST(CandidateCursorTest, NearestRespectsMaxDistance) {
+  CandidateStore store(MakeGrid());
+  store.Insert(Entry(1, 10.0, 10.0, 0.0, 10.0));
+  CandidateCursor cursor(&store, nullptr);
+  EXPECT_EQ(
+      cursor.Nearest({50.0, 50.0}, 5.0, 0.0, StartWindow{}, AcceptAll).id,
+      -1);
+  EXPECT_EQ(
+      cursor.Nearest({50.0, 50.0}, 100.0, 0.0, StartWindow{}, AcceptAll).id,
+      1);
+}
+
+TEST(CandidateCursorTest, ForEachInDiskFindsAllWithinRadius) {
+  CandidateStore store(MakeGrid());
+  store.Insert(Entry(1, 50.0, 50.0, 0.0, 10.0));
+  store.Insert(Entry(2, 53.0, 50.0, 0.0, 10.0));
+  store.Insert(Entry(3, 50.0, 56.0, 0.0, 10.0));
+  store.Insert(Entry(4, 90.0, 90.0, 0.0, 10.0));
+  CandidateCursor cursor(&store, nullptr);
+  std::vector<int64_t> found;
+  cursor.ForEachInDisk({50.0, 50.0}, 5.0, 0.0, StartWindow{},
+                       [&](const RetrievalCandidate& e, double) {
+                         found.push_back(e.id);
+                       });
+  std::sort(found.begin(), found.end());
+  EXPECT_EQ(found, (std::vector<int64_t>{1, 2}));
+}
+
+TEST(CandidateCursorTest, InfiniteRadiusScansEverything) {
+  // "Scan all" callers pass an unbounded radius; the cell-range
+  // arithmetic must stay finite and cover the whole grid.
+  CandidateStore store(MakeGrid());
+  store.Insert(Entry(1, 5.0, 5.0, 0.0, 10.0));
+  store.Insert(Entry(2, 95.0, 95.0, 0.0, 10.0));
+  CandidateCursor cursor(&store, nullptr);
+  int count = 0;
+  cursor.ForEachInDisk({0.0, 0.0}, std::numeric_limits<double>::max(), 0.0,
+                       StartWindow{},
+                       [&](const RetrievalCandidate&, double) { ++count; });
+  EXPECT_EQ(count, 2);
+  const auto& hits = cursor.TopK(
+      {0.0, 0.0}, std::numeric_limits<double>::infinity(), 5, 0.0,
+      StartWindow{}, AcceptAll);
+  ASSERT_EQ(hits.size(), 2u);
+  EXPECT_EQ(hits[0].candidate.id, 1);
+  EXPECT_EQ(hits[1].candidate.id, 2);
+}
+
+TEST(CandidateCursorTest, EmptyStoreDiskQueryVisitsNothing) {
+  CandidateStore store(MakeGrid());
+  RetrievalStats stats;
+  CandidateCursor cursor(&store, &stats);
+  int count = 0;
+  cursor.ForEachInDisk({50.0, 50.0}, 100.0, 0.0, StartWindow{},
+                       [&](const RetrievalCandidate&, double) { ++count; });
+  EXPECT_EQ(count, 0);
+  EXPECT_EQ(stats.queries, 1);
+  EXPECT_EQ(stats.cells_visited, 0);
+}
+
+TEST(CandidateCursorTest, ZeroRadiusHitsOnlyExactlyCoincidentPoints) {
+  CandidateStore store(MakeGrid());
+  store.Insert(Entry(1, 50.0, 50.0, 0.0, 10.0));
+  store.Insert(Entry(2, 50.0, 50.0 + 1e-9, 0.0, 10.0));
+  CandidateCursor cursor(&store, nullptr);
+  std::vector<int64_t> found;
+  cursor.ForEachInDisk({50.0, 50.0}, 0.0, 0.0, StartWindow{},
+                       [&](const RetrievalCandidate& e, double d) {
+                         EXPECT_EQ(d, 0.0);
+                         found.push_back(e.id);
+                       });
+  EXPECT_EQ(found, (std::vector<int64_t>{1}));
+  // Nearest with max_distance 0 behaves the same way.
+  EXPECT_EQ(
+      cursor.Nearest({50.0, 50.0}, 0.0, 0.0, StartWindow{}, AcceptAll).id,
+      1);
+  EXPECT_EQ(
+      cursor.Nearest({51.0, 50.0}, 0.0, 0.0, StartWindow{}, AcceptAll).id,
+      -1);
+}
+
+TEST(CandidateCursorTest, RingBoundaryPointsAreNeverDropped) {
+  // Points sitting exactly on cell edges and corners (the 10-unit grid
+  // lines) must be found both as nearest neighbors and by disk queries
+  // whose radius lands exactly on the point — no strict-inequality slip
+  // at either the CellOf bucketing or the DistanceToCell lower bound.
+  CandidateStore store(MakeGrid());
+  store.Insert(Entry(1, 10.0, 10.0, 0.0, 10.0));  // Four-cell corner.
+  store.Insert(Entry(2, 20.0, 15.0, 0.0, 10.0));  // Vertical edge.
+  store.Insert(Entry(3, 15.0, 30.0, 0.0, 10.0));  // Horizontal edge.
+  CandidateCursor cursor(&store, nullptr);
+  const auto nearest = [&](Point origin, double max_distance) {
+    return cursor.Nearest(origin, max_distance, 0.0, StartWindow{},
+                          AcceptAll)
+        .id;
+  };
+  EXPECT_EQ(nearest({10.0, 10.0}, 0.0), 1);
+  EXPECT_EQ(nearest({9.999, 10.0}, 1.0), 1);
+  EXPECT_EQ(nearest({20.5, 15.0}, 1.0), 2);
+  std::vector<int64_t> found;
+  cursor.ForEachInDisk({10.0, 15.0}, 5.0, 0.0, StartWindow{},
+                       [&](const RetrievalCandidate& e, double) {
+                         found.push_back(e.id);
+                       });
+  std::sort(found.begin(), found.end());
+  EXPECT_EQ(found, (std::vector<int64_t>{1}));  // Distance exactly 5.0.
+}
+
+TEST(CandidateCursorTest, NearestCrossesCellBoundaryWhenNeighborIsCloser) {
+  // Origin sits near a cell edge: the same-cell candidate is farther than
+  // one just across the boundary. A walk that stopped after the origin
+  // cell (or applied the ring cutoff one ring too early) would return the
+  // wrong point.
+  CandidateStore store(MakeGrid());
+  store.Insert(Entry(1, 11.0, 15.0, 0.0, 10.0));  // Same cell, distance 8.
+  store.Insert(Entry(2, 20.5, 15.0, 0.0, 10.0));  // Next cell, distance 1.5.
+  CandidateCursor cursor(&store, nullptr);
+  EXPECT_EQ(
+      cursor.Nearest({19.0, 15.0}, 50.0, 0.0, StartWindow{}, AcceptAll).id,
+      2);
+}
+
+TEST(CandidateCursorTest, RingCutoffStopsExactlyAtTheProvableBound) {
+  // Pins TopK's `(ring - 1) * cell_min > kth-best` early exit: with a
+  // kth-best candidate at distance d, every ring r with (r - 1) * cell_min
+  // <= d must still be scanned (a closer point may hide there). The ring-1
+  // candidate is found first at distance ~17.7; since (2 - 1) * 10 <=
+  // 17.7, ring 2 must still be walked, where the true nearest sits at
+  // distance 16.1 — a cutoff firing one ring early would return id 1.
+  CandidateStore store(MakeGrid());
+  const Point origin{5.0, 36.0};                 // Cell (0, 3).
+  store.Insert(Entry(1, 15.9, 49.9, 0.0, 10.0));  // Ring 1, ~17.7.
+  store.Insert(Entry(2, 5.0, 19.9, 0.0, 10.0));   // Ring 2, 16.1.
+  CandidateCursor cursor(&store, nullptr);
+  const RetrievalCandidate hit =
+      cursor.Nearest(origin, 50.0, 0.0, StartWindow{}, AcceptAll);
+  EXPECT_EQ(hit.id, 2);
+  EXPECT_NEAR(Distance(origin, hit.location), 16.1, 1e-9);
+  // The same bound with k = 2: the tail is the ring-1 point, so ring 2
+  // is walked and both come back in distance order.
+  const auto& hits =
+      cursor.TopK(origin, 50.0, 2, 0.0, StartWindow{}, AcceptAll);
+  ASSERT_EQ(hits.size(), 2u);
+  EXPECT_EQ(hits[0].candidate.id, 2);
+  EXPECT_EQ(hits[1].candidate.id, 1);
+}
+
+// Property: both query kinds agree with brute force over an independent
+// copy of random point sets.
+class CandidateCursorPropertyTest
+    : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(CandidateCursorPropertyTest, NearestMatchesBruteForce) {
+  Rng rng(GetParam());
+  CandidateStore store(MakeGrid());
+  std::vector<RetrievalCandidate> points;
+  for (int64_t i = 0; i < 200; ++i) {
+    points.push_back(Entry(i, rng.NextDouble(0.0, 100.0),
+                           rng.NextDouble(0.0, 100.0), 0.0, 10.0));
+    store.Insert(points.back());
+  }
+  CandidateCursor cursor(&store, nullptr);
+  for (int q = 0; q < 50; ++q) {
+    const Point query{rng.NextDouble(0.0, 100.0),
+                      rng.NextDouble(0.0, 100.0)};
+    const double max_distance = rng.NextDouble(1.0, 60.0);
+    int64_t best = -1;
+    double best_d = max_distance;
+    for (const RetrievalCandidate& entry : points) {
+      const double d = Distance(query, entry.location);
+      if (d < best_d || (d == best_d && (best < 0 || entry.id < best))) {
+        best_d = d;
+        best = entry.id;
+      }
+    }
+    const RetrievalCandidate hit =
+        cursor.Nearest(query, max_distance, 0.0, StartWindow{}, AcceptAll);
+    EXPECT_EQ(hit.id, best) << "query " << q;
+  }
+}
+
+TEST_P(CandidateCursorPropertyTest, DiskQueryMatchesBruteForce) {
+  Rng rng(GetParam() ^ 0xabcdef);
+  CandidateStore store(MakeGrid());
+  std::vector<RetrievalCandidate> points;
+  for (int64_t i = 0; i < 150; ++i) {
+    points.push_back(Entry(i, rng.NextDouble(0.0, 100.0),
+                           rng.NextDouble(0.0, 100.0), 0.0, 10.0));
+    store.Insert(points.back());
+  }
+  CandidateCursor cursor(&store, nullptr);
+  for (int q = 0; q < 20; ++q) {
+    const Point query{rng.NextDouble(0.0, 100.0),
+                      rng.NextDouble(0.0, 100.0)};
+    const double radius = rng.NextDouble(0.0, 50.0);
+    size_t expected = 0;
+    for (const RetrievalCandidate& entry : points) {
+      if (Distance(query, entry.location) <= radius) ++expected;
+    }
+    size_t got = 0;
+    cursor.ForEachInDisk(query, radius, 0.0, StartWindow{},
+                         [&](const RetrievalCandidate&, double) { ++got; });
+    EXPECT_EQ(got, expected) << "query " << q;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CandidateCursorPropertyTest,
+                         ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
 
 // Randomized oracle equivalence over adversarial histories: interleaved
 // inserts/erases/overwrites, boundary-sitting points, degenerate windows,

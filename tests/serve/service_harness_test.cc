@@ -237,9 +237,10 @@ TEST(ServiceHarnessTest, RejectsUnknownAlgorithmAndBadFaultSpec) {
 TEST(ServiceHarnessTest, RetrievalStatsSurfaceOnRotationWindowsOnly) {
   // The engine's per-query stats are attributed to the window that
   // rotated the segment (like `matched`), and switching backends must not
-  // change what got matched — only the counters.
+  // change what got matched — only the counters. Greedy is the one
+  // algorithm whose search the retrieval mode selects.
   ServiceOptions engine_options;
-  engine_options.algorithm = "tgoa";
+  engine_options.algorithm = "simple-greedy";
   engine_options.windows_per_segment = 3;
   engine_options.retrieval = RetrievalMode::kEngine;
   auto engine = MakeHarness(engine_options);

@@ -501,7 +501,8 @@ int CmdServe(int argc, char** argv) {
 
   // rq/exam/c50/c99: retrieval-engine queries, candidates examined, and
   // per-query cells-visited percentiles of the segment rotated at that
-  // window (all zero under --retrieval=linear and between rotations).
+  // window (zero between rotations, and for the guide-only algorithms and
+  // greedy under --retrieval=linear, which make no engine queries).
   // rfr ms/WC/reuse: solve wall time of the refresh cycle whose publish
   // landed at that window, warm (W) or cold (C), and reused/total
   // components ("-" between publishes).

@@ -59,7 +59,8 @@ import sys
 # Check catalog and path scopes (relative, '/'-separated).
 
 DETERMINISM_PATHS = ("src/core/", "src/sim/", "src/serve/", "src/flow/")
-HOT_PATHS = ("src/flow/", "src/spatial/", "src/retrieval/")
+HOT_PATHS = ("src/flow/", "src/spatial/", "src/retrieval/",
+             "src/core/guide_generator.")
 RNG_SCOPE = ("src/", "tools/")
 RNG_EXEMPT = ("src/util/", "tools/lint/")
 
