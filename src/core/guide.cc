@@ -1,5 +1,7 @@
 #include "core/guide.h"
 
+#include <algorithm>
+
 namespace ftoa {
 
 OfflineGuide::OfflineGuide(SpacetimeSpec spacetime, double velocity,
@@ -11,7 +13,8 @@ OfflineGuide::OfflineGuide(SpacetimeSpec spacetime, double velocity,
       task_duration_(task_duration),
       representative_slack_(representative_slack),
       worker_nodes_by_type_(static_cast<size_t>(spacetime.num_types())),
-      task_nodes_by_type_(static_cast<size_t>(spacetime.num_types())) {}
+      task_nodes_by_type_(static_cast<size_t>(spacetime.num_types())),
+      capacity_by_worker_type_(static_cast<size_t>(spacetime.num_types())) {}
 
 GuideNodeId OfflineGuide::AddWorkerNode(TypeId type) {
   const GuideNodeId id = static_cast<GuideNodeId>(worker_nodes_.size());
@@ -47,20 +50,21 @@ Status OfflineGuide::MatchNodes(GuideNodeId worker_node,
   worker_nodes_[static_cast<size_t>(worker_node)].partner = task_node;
   task_nodes_[static_cast<size_t>(task_node)].partner = worker_node;
   ++matched_pairs_;
-  return Status::OK();
-}
-
-std::unordered_map<int64_t, int32_t>
-OfflineGuide::MatchedPairCountsByTypePair() const {
-  std::unordered_map<int64_t, int32_t> counts;
-  counts.reserve(static_cast<size_t>(matched_pairs_));
-  for (const GuideNode& node : worker_nodes_) {
-    if (node.partner == -1) continue;
-    const TypeId task_type =
-        task_nodes_[static_cast<size_t>(node.partner)].type;
-    ++counts[TypePairKey(node.type, task_type)];
+  // Capacity accounting: bump (or insert, keeping task-type order) the
+  // entry of the pair's task type under the worker's type.
+  const TypeId task_type = task_nodes_[static_cast<size_t>(task_node)].type;
+  std::vector<TypeCapacity>& capacity = capacity_by_worker_type_
+      [static_cast<size_t>(worker_nodes_[static_cast<size_t>(worker_node)]
+                               .type)];
+  const auto it = std::lower_bound(
+      capacity.begin(), capacity.end(), task_type,
+      [](const TypeCapacity& c, TypeId t) { return c.task_type < t; });
+  if (it != capacity.end() && it->task_type == task_type) {
+    ++it->count;
+  } else {
+    capacity.insert(it, TypeCapacity{task_type, 1});
   }
-  return counts;
+  return Status::OK();
 }
 
 Status OfflineGuide::Validate() const {

@@ -8,7 +8,6 @@
 #define FTOA_CORE_GUIDE_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "model/feasibility.h"
@@ -25,6 +24,12 @@ struct GuideNode {
   TypeId type = -1;
   /// Matched partner on the other side in Ĝf, or -1 when unmatched.
   GuideNodeId partner = -1;
+};
+
+/// Matched-pair count from one worker type to one task type in Ĝf.
+struct TypeCapacity {
+  TypeId task_type = -1;
+  int32_t count = 0;
 };
 
 /// The immutable offline guide shared by POLAR-family algorithms.
@@ -69,20 +74,18 @@ class OfflineGuide {
   /// |E*|: the number of matched node pairs (the flow value of Algorithm 1).
   int64_t matched_pairs() const { return matched_pairs_; }
 
-  /// Dense key of a (worker type, task type) pair in the capacity
-  /// accounting below.
-  int64_t TypePairKey(TypeId worker_type, TypeId task_type) const {
-    return static_cast<int64_t>(worker_type) * spacetime_.num_types() +
-           task_type;
+  /// Capacity accounting of Ĝf for one worker type: how many matched node
+  /// pairs connect it to each task type, one entry per task type with a
+  /// nonzero count, sorted by task type. This is the per-flow multiplicity
+  /// the POLAR family realizes along — a pass adding pairs on a guided
+  /// algorithm's behalf (boundary reconciliation) bounds its per-type-pair
+  /// additions by these counts, mirroring how each shard's session consumes
+  /// the guide. Maintained by MatchNodes; empty when the type has no
+  /// matched pair.
+  const std::vector<TypeCapacity>& CapacityOfWorkerType(
+      TypeId worker_type) const {
+    return capacity_by_worker_type_[static_cast<size_t>(worker_type)];
   }
-
-  /// Capacity accounting of Ĝf: how many matched node pairs connect each
-  /// (worker type, task type), keyed by TypePairKey. This is the per-flow
-  /// multiplicity the POLAR family realizes along — a pass adding pairs on
-  /// a guided algorithm's behalf (boundary reconciliation) bounds its
-  /// per-type-pair additions by these counts, mirroring how each shard's
-  /// session consumes the guide. O(matched_pairs()); build once per pass.
-  std::unordered_map<int64_t, int32_t> MatchedPairCountsByTypePair() const;
 
   /// m: the number of predicted worker nodes.
   int64_t num_worker_nodes() const {
@@ -108,6 +111,7 @@ class OfflineGuide {
   std::vector<GuideNode> task_nodes_;
   std::vector<std::vector<GuideNodeId>> worker_nodes_by_type_;
   std::vector<std::vector<GuideNodeId>> task_nodes_by_type_;
+  std::vector<std::vector<TypeCapacity>> capacity_by_worker_type_;
   int64_t matched_pairs_ = 0;
 };
 

@@ -20,7 +20,8 @@
 //    GridSpec::DistanceToCell and skipped when the bound exceeds the
 //    current kth-best distance, and the walk stops when even the nearest
 //    point of the next ring cannot beat the kth-best, a bound pinned
-//    exactly by tests/retrieval/candidate_engine_test.cc.
+//    exactly by tests/retrieval/candidate_engine_test.cc. TopKInCells runs
+//    the same per-cell scan over a caller-given cell list instead.
 //  * Results are canonical: candidates are ordered by (distance, id), a
 //    total order independent of scan order, so the engine's result set is
 //    bit-identical to a linear scan over the same live entries — the
@@ -151,14 +152,12 @@ class CandidateCursor {
                                            StartWindow window,
                                            FilterFn&& filter) {
     topk_.clear();
-    int64_t cells = 0;
-    int64_t examined = 0;
-    int64_t pruned = 0;
     if (store_ == nullptr || store_->size() == 0 || k == 0) {
-      if (stats_ != nullptr) stats_->RecordQuery(cells, examined, pruned);
+      if (stats_ != nullptr) stats_->RecordQuery(0, 0, 0);
       return topk_;
     }
     const GridSpec& grid = store_->grid();
+    TopKScan scan(grid, origin, max_distance, k, query_time, window);
     const int origin_cx = grid.CellX(grid.CellOf(origin));
     const int origin_cy = grid.CellY(grid.CellOf(origin));
     const double cell_min = std::min(grid.cell_width(), grid.cell_height());
@@ -167,54 +166,14 @@ class CandidateCursor {
         std::min(max_distance, grid.width() + grid.height());
     const int max_ring = static_cast<int>(std::ceil(reach / cell_min)) + 1;
 
-    // Current pruning bound: the query radius until the top-k is full,
-    // then the kth-best (distance, id). Kept in locals, not re-read from
-    // topk_, so the per-entry test stays in registers.
-    bool full = false;
-    double bound = max_distance;
-    int64_t tail_id = 0;
-
     const auto scan_cell = [&](int cx, int cy) {
-      if (!grid.ValidCell(cx, cy)) return;
-      const CellId cell = grid.CellAt(cx, cy);
-      const std::vector<RetrievalCandidate>& bucket = store_->bucket(cell);
-      if (bucket.empty()) return;
-      // Radius lower bound: skip cells that cannot beat the current tail.
-      if (grid.DistanceToCell(origin, cell) > bound) return;
-      ++cells;
-      // Arrival-time binary search: the bucket is (start, id)-sorted, so
-      // the window maps to one contiguous span.
-      auto it = WindowBegin(bucket, window.lo);
-      for (; it != bucket.end() && it->start <= window.hi; ++it) {
-        if (it->id < 0) continue;  // Tombstone.
-        ++examined;
-        // Deadline prune: an entry gone before the query instant can never
-        // pass either CanServe policy (strict — deadline == query_time may
-        // still be feasible).
-        if (it->deadline < query_time) {
-          ++pruned;
-          continue;
-        }
-        const double d = Distance(origin, it->location);
-        if (d > bound || (full && d == bound && it->id >= tail_id)) {
-          ++pruned;
-          continue;
-        }
-        if (!filter(*it, d)) continue;
-        Offer(ScoredCandidate{d, *it}, k);
-        if (topk_.size() == k) {
-          full = true;
-          bound = topk_.back().distance;
-          tail_id = topk_.back().candidate.id;
-        }
-      }
+      if (grid.ValidCell(cx, cy)) ScanCell(grid.CellAt(cx, cy), &scan, filter);
     };
-
     for (int ring = 0; ring <= max_ring; ++ring) {
       // Ring cutoff: once full, stop when even the closest point of this
       // ring is farther than the kth-best (the ring lower bound grows by
       // one cell size per step).
-      if (full && static_cast<double>(ring - 1) * cell_min > bound) {
+      if (scan.full && static_cast<double>(ring - 1) * cell_min > scan.bound) {
         break;
       }
       if (ring == 0) {
@@ -230,7 +189,35 @@ class CandidateCursor {
         scan_cell(origin_cx + ring, origin_cy + dy);
       }
     }
-    if (stats_ != nullptr) stats_->RecordQuery(cells, examined, pruned);
+    if (stats_ != nullptr) {
+      stats_->RecordQuery(scan.cells, scan.examined, scan.pruned);
+    }
+    return topk_;
+  }
+
+  /// TopK over an explicit list of distinct cells of the store's grid,
+  /// visited in the given order instead of ring by ring. Same pruning (a
+  /// cell whose lower bound exceeds the current kth-best is skipped) and
+  /// the same canonical (distance, id) result as TopK with a filter that
+  /// also rejects every entry outside `cells` — for callers that know
+  /// which cells can hold an acceptable candidate (the boundary
+  /// reconciler walks only the areas its guide has capacity for). An
+  /// empty list returns nothing and still counts one query.
+  template <typename FilterFn>
+  const std::vector<ScoredCandidate>& TopKInCells(
+      const std::vector<CellId>& cells, Point origin, double max_distance,
+      size_t k, double query_time, StartWindow window, FilterFn&& filter) {
+    topk_.clear();
+    if (store_ == nullptr || store_->size() == 0 || k == 0) {
+      if (stats_ != nullptr) stats_->RecordQuery(0, 0, 0);
+      return topk_;
+    }
+    TopKScan scan(store_->grid(), origin, max_distance, k, query_time,
+                  window);
+    for (const CellId cell : cells) ScanCell(cell, &scan, filter);
+    if (stats_ != nullptr) {
+      stats_->RecordQuery(scan.cells, scan.examined, scan.pruned);
+    }
     return topk_;
   }
 
@@ -302,6 +289,88 @@ class CandidateCursor {
   void set_stats(RetrievalStats* stats) { stats_ = stats; }
 
  private:
+  /// Query parameters and pruning state of one top-k query, shared by
+  /// TopK and TopKInCells.
+  struct TopKScan {
+    TopKScan(const GridSpec& grid, Point from, double radius, size_t count,
+             double now, StartWindow starts)
+        : origin(from),
+          cell_origin(grid.Clamp(from)),
+          k(count),
+          query_time(now),
+          window(starts),
+          bound(radius) {}
+
+    Point origin;
+    /// Cell lower bounds are measured from the origin clamped into the
+    /// region: stored points are clamped into their cells, and clamping is
+    /// a projection, so the bound holds even for out-of-region objects.
+    Point cell_origin;
+    size_t k;
+    double query_time;
+    StartWindow window;
+    /// The query radius until the top-k is full, then the kth-best
+    /// (distance, id).
+    bool full = false;
+    double bound;
+    int64_t tail_id = 0;
+    int64_t cells = 0;
+    int64_t examined = 0;
+    int64_t pruned = 0;
+  };
+
+  /// Offers one cell's live, in-window, unexpired entries within the
+  /// current bound to the top-k buffer.
+  template <typename FilterFn>
+  void ScanCell(CellId cell, TopKScan* scan, FilterFn& filter) {
+    const std::vector<RetrievalCandidate>& bucket = store_->bucket(cell);
+    if (bucket.empty()) return;
+    // Radius lower bound: skip cells that cannot beat the current tail.
+    if (store_->grid().DistanceToCell(scan->cell_origin, cell) >
+        scan->bound) {
+      return;
+    }
+    ++scan->cells;
+    // The bound is kept in locals, not re-read from topk_ or *scan, so the
+    // per-entry test stays in registers.
+    bool full = scan->full;
+    double bound = scan->bound;
+    int64_t tail_id = scan->tail_id;
+    int64_t examined = 0;
+    int64_t pruned = 0;
+    // Arrival-time binary search: the bucket is (start, id)-sorted, so the
+    // window maps to one contiguous span.
+    auto it = WindowBegin(bucket, scan->window.lo);
+    for (; it != bucket.end() && it->start <= scan->window.hi; ++it) {
+      if (it->id < 0) continue;  // Tombstone.
+      ++examined;
+      // Deadline prune: an entry gone before the query instant can never
+      // pass either CanServe policy (strict — deadline == query_time may
+      // still be feasible).
+      if (it->deadline < scan->query_time) {
+        ++pruned;
+        continue;
+      }
+      const double d = Distance(scan->origin, it->location);
+      if (d > bound || (full && d == bound && it->id >= tail_id)) {
+        ++pruned;
+        continue;
+      }
+      if (!filter(*it, d)) continue;
+      Offer(ScoredCandidate{d, *it}, scan->k);
+      if (topk_.size() == scan->k) {
+        full = true;
+        bound = topk_.back().distance;
+        tail_id = topk_.back().candidate.id;
+      }
+    }
+    scan->full = full;
+    scan->bound = bound;
+    scan->tail_id = tail_id;
+    scan->examined += examined;
+    scan->pruned += pruned;
+  }
+
   /// First bucket entry with start >= `lo`. The binary search is skipped
   /// when the whole bucket is in the window — the common case, since a
   /// window reaches back a full object duration and expired entries leave.

@@ -14,8 +14,9 @@
 //    the per-shard algorithm's own decisions) and satisfies the
 //    algorithm's object-level deadline policy.
 //  - For guided algorithms the additions are guide-capacity-aware: at most
-//    guide.MatchedPairCountsByTypePair() pairs per (worker type, task
-//    type), mirroring how each shard realizes matches along Ĝf's edges.
+//    as many pairs per (worker type, task type) as Ĝf matches between them
+//    (OfflineGuide::CapacityOfWorkerType), mirroring how each shard
+//    realizes matches along Ĝf's edges.
 //  - The pass is a pure function of (instance, router, merged assignment):
 //    bit-identical across reruns and thread counts, and a no-op with one
 //    shard (no border exists).
@@ -57,8 +58,12 @@ struct ReconcileStats {
   int64_t boundary_tasks = 0;    ///< Unmatched tasks near a border.
   int64_t recovered_pairs = 0;   ///< Pairs appended to the assignment.
   int64_t capacity_dropped = 0;  ///< Matches dropped by guide capacity.
+  /// Guided runs only: boundary workers whose guide type has no capacity
+  /// toward any task type, skipped without a query. Guided runs satisfy
+  /// retrieval.queries + no_capacity_workers == boundary_workers.
+  int64_t no_capacity_workers = 0;
   /// Per-worker candidate-scan instrumentation (one retrieval query per
-  /// boundary worker).
+  /// boundary worker that has a query to run).
   RetrievalStats retrieval;
 };
 
@@ -66,7 +71,10 @@ struct ReconcileStats {
 /// max(Sw, Sr) — the earliest moment a platform seeing both shards could
 /// have committed the pair). Candidate discovery runs the shared retrieval
 /// engine's top-k query over a CandidateStore of the boundary tasks
-/// (best-first cell walk, arrival-time binary search per bucket); the
+/// (arrival-time binary search per bucket). Unguided runs walk the
+/// instance grid ring by ring around each worker; guided runs bucket the
+/// tasks on the guide's grid and walk only the areas of the task types the
+/// worker's type has capacity toward (CandidateCursor::TopKInCells). The
 /// matching itself is a DynamicBipartiteMatcher augmented in worker id
 /// order, so the result is deterministic and maximum over the kept
 /// candidate edges.

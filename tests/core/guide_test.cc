@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "test_util.h"
 
 namespace ftoa {
@@ -51,6 +53,32 @@ TEST(OfflineGuideTest, MatchNodesRejectsBadIds) {
   EXPECT_FALSE(guide.MatchNodes(0, 0).ok());   // No task nodes yet.
   EXPECT_FALSE(guide.MatchNodes(-1, 0).ok());
   EXPECT_FALSE(guide.MatchNodes(5, 0).ok());
+}
+
+TEST(OfflineGuideTest, MatchNodesKeepsPerWorkerTypeCapacity) {
+  // Worker type 2 is matched to task types 3, 1, 3 (in that order); worker
+  // type 0 has an unmatched node only. Counts come back sorted by task
+  // type, and a rejected MatchNodes leaves them untouched.
+  OfflineGuide guide(MakeSpacetime(), 1.0, 30.0, 2.0);
+  std::vector<GuideNodeId> workers;
+  for (int i = 0; i < 3; ++i) workers.push_back(guide.AddWorkerNode(2));
+  guide.AddWorkerNode(0);
+  const GuideNodeId r0 = guide.AddTaskNode(3);
+  const GuideNodeId r1 = guide.AddTaskNode(1);
+  const GuideNodeId r2 = guide.AddTaskNode(3);
+  ASSERT_TRUE(guide.MatchNodes(workers[0], r0).ok());
+  ASSERT_TRUE(guide.MatchNodes(workers[1], r1).ok());
+  ASSERT_TRUE(guide.MatchNodes(workers[2], r2).ok());
+  EXPECT_FALSE(guide.MatchNodes(3, r0).ok());
+
+  const std::vector<TypeCapacity>& capacity = guide.CapacityOfWorkerType(2);
+  ASSERT_EQ(capacity.size(), 2u);
+  EXPECT_EQ(capacity[0].task_type, 1);
+  EXPECT_EQ(capacity[0].count, 1);
+  EXPECT_EQ(capacity[1].task_type, 3);
+  EXPECT_EQ(capacity[1].count, 2);
+  EXPECT_TRUE(guide.CapacityOfWorkerType(0).empty());
+  EXPECT_TRUE(guide.CapacityOfWorkerType(1).empty());
 }
 
 TEST(OfflineGuideTest, ValidateAcceptsFeasiblePair) {

@@ -2,7 +2,8 @@
 // engine. The load-bearing property is canonical-output equivalence: for
 // any insert/erase history and any query, TopK must return exactly the
 // (distance, id)-sorted prefix a linear scan over the live entries would —
-// the contract every ported algorithm's bit-identity rests on. The
+// the contract every ported algorithm's bit-identity rests on. TopKInCells
+// must return the same prefix restricted to its listed cells. The
 // *Stress* suite re-runs under `ctest -L stress` with FTOA_STRESS_ITERS.
 
 #include "retrieval/candidate_engine.h"
@@ -14,6 +15,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "retrieval/stats.h"
@@ -61,6 +63,22 @@ std::vector<ScoredCandidate> OracleTopK(const CandidateStore& store,
 }
 
 bool AcceptAll(const RetrievalCandidate&, double) { return true; }
+
+/// The cell-list query's oracle: the linear scan, also rejecting every
+/// entry whose cell is not listed.
+template <typename FilterFn>
+std::vector<ScoredCandidate> OracleTopKInCells(
+    const CandidateStore& store, const std::vector<CellId>& cells,
+    Point origin, double max_distance, size_t k, double query_time,
+    StartWindow window, FilterFn&& filter) {
+  return OracleTopK(store, origin, max_distance, k, query_time, window,
+                    [&](const RetrievalCandidate& e, double d) {
+                      const CellId cell = store.grid().CellOf(e.location);
+                      return std::find(cells.begin(), cells.end(), cell) !=
+                                 cells.end() &&
+                             filter(e, d);
+                    });
+}
 
 void ExpectSameHits(const std::vector<ScoredCandidate>& got,
                     const std::vector<ScoredCandidate>& want,
@@ -209,6 +227,124 @@ TEST(CandidateCursorTest, CursorIsReusableAcrossQueriesAndRebinds) {
                 .id,
             2);
   EXPECT_EQ(stats.queries, 2);
+}
+
+TEST(CandidateCursorTest, OutOfRegionPointsAreFoundFromOutOfRegionOrigins) {
+  // A point beyond the region's right edge is bucketed in the edge cell of
+  // its clamped location. From an origin out there too, the point is 1
+  // away although the origin is 30 from the cell: cell lower bounds are
+  // measured from the clamped origin, or the cell would be skipped.
+  CandidateStore store(MakeGrid());
+  store.Insert(Entry(1, 130.0, 5.0, 0.0, 10.0));
+  ASSERT_EQ(store.bucket(9).size(), 1u);
+  CandidateCursor cursor(&store, nullptr);
+  const Point origin{130.0, 6.0};
+  const auto want =
+      OracleTopK(store, origin, 10.0, 2, 0.0, StartWindow{}, AcceptAll);
+  ASSERT_EQ(want.size(), 1u);
+  ExpectSameHits(
+      cursor.TopK(origin, 10.0, 2, 0.0, StartWindow{}, AcceptAll), want,
+      "ring walk");
+  ExpectSameHits(cursor.TopKInCells({9}, origin, 10.0, 2, 0.0, StartWindow{},
+                                    AcceptAll),
+                 want, "cell list");
+}
+
+// ------------------------------------------------- cell-list top-k query --
+
+TEST(CandidateCursorCellsTest, EmptyListReturnsNothingAndCountsAQuery) {
+  CandidateStore store(MakeGrid());
+  store.Insert(Entry(1, 5.0, 5.0, 0.0, 10.0));
+  RetrievalStats stats;
+  CandidateCursor cursor(&store, &stats);
+  EXPECT_TRUE(cursor.TopKInCells({}, {5.0, 5.0}, 100.0, 3, 0.0,
+                                 StartWindow{}, AcceptAll)
+                  .empty());
+  EXPECT_EQ(stats.queries, 1);
+  EXPECT_EQ(stats.cells_visited, 0);
+  EXPECT_EQ(stats.candidates_examined, 0);
+}
+
+TEST(CandidateCursorCellsTest, OnlyListedCellsAnswerInAnyOrder) {
+  // One entry per cell of the bottom row (cells 0..9, 10 wide); the query
+  // lists cells 7, 2, 5 in that order and in reverse.
+  CandidateStore store(MakeGrid());
+  for (int64_t id = 0; id < 10; ++id) {
+    store.Insert(
+        Entry(id, 10.0 * static_cast<double>(id) + 5.0, 5.0, 0.0, 10.0));
+  }
+  CandidateCursor cursor(&store, nullptr);
+  for (const std::vector<CellId>& cells :
+       {std::vector<CellId>{7, 2, 5}, std::vector<CellId>{5, 2, 7}}) {
+    const auto& hits = cursor.TopKInCells(cells, {0.0, 5.0}, 100.0, 10, 0.0,
+                                          StartWindow{}, AcceptAll);
+    ASSERT_EQ(hits.size(), 3u);
+    EXPECT_EQ(hits[0].candidate.id, 2);
+    EXPECT_EQ(hits[1].candidate.id, 5);
+    EXPECT_EQ(hits[2].candidate.id, 7);
+  }
+}
+
+TEST(CandidateCursorCellsTest, CellsBeyondTheRadiusAreNotVisited) {
+  CandidateStore store(MakeGrid());
+  store.Insert(Entry(1, 5.0, 5.0, 0.0, 10.0));    // Cell 0.
+  store.Insert(Entry(2, 95.0, 95.0, 0.0, 10.0));  // Cell 99.
+  RetrievalStats stats;
+  CandidateCursor cursor(&store, &stats);
+  const auto& hits = cursor.TopKInCells({99, 0}, {5.0, 5.0}, 20.0, 5, 0.0,
+                                        StartWindow{}, AcceptAll);
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].candidate.id, 1);
+  // Cell 99's lower bound exceeds the radius: skipped before its bucket.
+  EXPECT_EQ(stats.cells_visited, 1);
+  EXPECT_EQ(stats.candidates_examined, 1);
+}
+
+TEST(CandidateCursorCellsTest, TombstonesStayInvisible) {
+  CandidateStore store(MakeGrid());
+  for (int64_t id = 0; id < 6; ++id) {
+    store.Insert(Entry(id, 5.0 + 0.5 * static_cast<double>(id), 5.0,
+                       static_cast<double>(id), 100.0));
+  }
+  // Two erases leave tombstones in the bucket without compacting it.
+  ASSERT_TRUE(store.Erase(0));
+  ASSERT_TRUE(store.Erase(3));
+  ASSERT_EQ(store.bucket(0).size(), 6u);
+  CandidateCursor cursor(&store, nullptr);
+  const auto& hits = cursor.TopKInCells({0}, {5.0, 5.0}, 100.0, 10, 0.0,
+                                        StartWindow{}, AcceptAll);
+  ASSERT_EQ(hits.size(), 4u);
+  EXPECT_EQ(hits[0].candidate.id, 1);
+  EXPECT_EQ(hits[1].candidate.id, 2);
+  EXPECT_EQ(hits[2].candidate.id, 4);
+  EXPECT_EQ(hits[3].candidate.id, 5);
+}
+
+TEST(CandidateCursorCellsTest, DistanceTiesAtTheKthPlaceBreakById) {
+  // (50, 50) is the corner of cells 44, 45, 54 and 55. Four entries sit at
+  // distance exactly 5, one per cell, plus a nearer one in cell 55. k = 3
+  // keeps the nearest and the two lowest ids of the tie, whatever the
+  // order of the cells.
+  CandidateStore store(MakeGrid());
+  store.Insert(Entry(8, 53.0, 54.0, 0.0, 10.0));  // Cell 55.
+  store.Insert(Entry(3, 46.0, 47.0, 0.0, 10.0));  // Cell 44.
+  store.Insert(Entry(6, 47.0, 54.0, 0.0, 10.0));  // Cell 54.
+  store.Insert(Entry(1, 54.0, 47.0, 0.0, 10.0));  // Cell 45.
+  store.Insert(Entry(9, 51.0, 51.0, 0.0, 10.0));  // Cell 55.
+  CandidateCursor cursor(&store, nullptr);
+  for (const std::vector<CellId>& cells :
+       {std::vector<CellId>{55, 44, 54, 45},
+        std::vector<CellId>{45, 54, 44, 55},
+        std::vector<CellId>{54, 55, 45, 44}}) {
+    const auto& hits = cursor.TopKInCells(cells, {50.0, 50.0}, 100.0, 3, 0.0,
+                                          StartWindow{}, AcceptAll);
+    ASSERT_EQ(hits.size(), 3u);
+    EXPECT_EQ(hits[0].candidate.id, 9);
+    EXPECT_EQ(hits[1].candidate.id, 1);
+    EXPECT_EQ(hits[2].candidate.id, 3);
+    EXPECT_EQ(hits[1].distance, 5.0);
+    EXPECT_EQ(hits[2].distance, 5.0);
+  }
 }
 
 TEST(RetrievalStatsTest, RecordQueryFeedsHistogramAndPercentiles) {
@@ -625,13 +761,30 @@ TEST(CandidateEngineStress, TopKMatchesLinearOracle) {
         const auto filter = [parity](const RetrievalCandidate& e, double) {
           return (e.id % 2) == parity;
         };
+        const std::string label =
+            "iter " + std::to_string(iter) + " op " + std::to_string(op);
         const auto& got = cursor.TopK(origin, max_distance, k, query_time,
                                       window, filter);
         const auto want = OracleTopK(store, origin, max_distance, k,
                                      query_time, window, filter);
-        ExpectSameHits(got, want,
-                       "iter " + std::to_string(iter) + " op " +
-                           std::to_string(op));
+        ExpectSameHits(got, want, label);
+
+        // The same query over a random set of distinct cells in random
+        // order (sometimes empty, sometimes every cell).
+        std::vector<CellId> cells;
+        const double keep = rng.NextDouble();
+        for (CellId cell = 0; cell < grid.num_cells(); ++cell) {
+          if (rng.NextDouble() < keep) cells.push_back(cell);
+        }
+        for (size_t i = cells.size(); i > 1; --i) {
+          std::swap(cells[i - 1], cells[rng.NextBounded(i)]);
+        }
+        const auto& in_cells = cursor.TopKInCells(
+            cells, origin, max_distance, k, query_time, window, filter);
+        const auto want_in_cells =
+            OracleTopKInCells(store, cells, origin, max_distance, k,
+                              query_time, window, filter);
+        ExpectSameHits(in_cells, want_in_cells, label + " cells");
       }
     }
     EXPECT_EQ(store.size(), live.size());

@@ -13,9 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/algorithm_registry.h"
@@ -78,8 +79,8 @@ void ExpectReconcileContract(const Universe& universe,
   const std::unique_ptr<ShardRouter> router = MakeShardRouter(
       options.router, universe.instance, options.num_shards);
 
-  std::unordered_map<int64_t, int32_t> capacity;
-  if (guide != nullptr) capacity = guide->MatchedPairCountsByTypePair();
+  // Guide capacity the added pairs spent per (worker type, task type).
+  std::map<std::pair<TypeId, TypeId>, int32_t> spent;
 
   const size_t added =
       reconciled->assignment.size() - base->assignment.size();
@@ -92,6 +93,15 @@ void ExpectReconcileContract(const Universe& universe,
   EXPECT_EQ(reconciled->metrics.matching_size,
             static_cast<int64_t>(reconciled->assignment.size()))
       << label;
+  // Every boundary worker is either queried or, on a guided run, skipped
+  // because its guide type has no capacity at all.
+  const ReconcileStats& stats = reconciled->reconcile;
+  EXPECT_EQ(stats.retrieval.queries + stats.no_capacity_workers,
+            stats.boundary_workers)
+      << label;
+  if (guide == nullptr) {
+    EXPECT_EQ(stats.no_capacity_workers, 0) << label;
+  }
 
   for (size_t i = base->assignment.pairs().size();
        i < reconciled->assignment.pairs().size(); ++i) {
@@ -116,11 +126,15 @@ void ExpectReconcileContract(const Universe& universe,
     // reconciler over-spent the guide.
     if (guide != nullptr) {
       const SpacetimeSpec& st = guide->spacetime();
-      const int64_t key =
-          guide->TypePairKey(st.TypeOf(w.location, w.start),
-                             st.TypeOf(r.location, r.start));
-      ASSERT_GT(capacity[key], 0) << label << " pair " << i;
-      --capacity[key];
+      const TypeId worker_type = st.TypeOf(w.location, w.start);
+      const TypeId task_type = st.TypeOf(r.location, r.start);
+      int32_t count = 0;
+      for (const TypeCapacity& c : guide->CapacityOfWorkerType(worker_type)) {
+        if (c.task_type == task_type) count = c.count;
+      }
+      int32_t& used = spent[std::make_pair(worker_type, task_type)];
+      ASSERT_LT(used, count) << label << " pair " << i;
+      ++used;
     }
   }
 }
