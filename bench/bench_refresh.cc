@@ -7,11 +7,10 @@
 //       at most two). Warm reuses the clean components' flows, cold is the
 //       full re-solve — the headline is the real_time ratio (>= 2x is the
 //       PR's acceptance bar).
-//   BM_Rotation/{rebuild,incremental}/W — per-window serving cost as the
-//       object store grows (eviction off, 1-window segments = 6 rotations
-//       per day). Rebuild re-scans and re-sorts the store at every rotation
-//       (O(store)); incremental maintains the sorted spine (O(carryover +
-//       new)), so its cost stays flat as W (and the store) grows.
+//   BM_Rotation/incremental/W — per-window serving cost over W windows
+//       with 1-window segments (6 rotations per day). The live set keeps
+//       its carryover sorted and compacts it in place (O(carryover + new)
+//       per rotation), so the cost per window stays flat as W grows.
 //   BM_Interference/{dedicated,shared_slice} — the soak topology (sharded
 //       threaded sessions + background refresh) with the PR 6 dedicated
 //       refresher thread vs the shared pool + analytical PoolSlice layout.
@@ -164,7 +163,7 @@ void BM_GuideRefresh(benchmark::State& state, GuideRefreshMode mode) {
 }
 
 // ---------------------------------------------------------------------------
-// Family 2: incremental vs rebuild segment rotation as the store grows.
+// Family 2: segment rotation cost as the stream grows.
 // ---------------------------------------------------------------------------
 
 CityProfile RotationCity() {
@@ -183,13 +182,11 @@ CityProfile RotationCity() {
   return profile;
 }
 
-void BM_Rotation(benchmark::State& state, bool incremental) {
+void BM_Rotation(benchmark::State& state) {
   const int64_t windows = state.range(0);
   ServiceOptions options;
   options.algorithm = "simple-greedy";  // Cheap decisions: rotation shows.
   options.windows_per_segment = 1;      // Six rotations per day.
-  options.evict_expired = false;        // The store keeps the history.
-  options.incremental_rotation = incremental;
   int64_t processed = 0;
   ServiceTotals last;
   int64_t last_store = 0;
@@ -269,12 +266,8 @@ BENCHMARK_CAPTURE(BM_GuideRefresh, warm, GuideRefreshMode::kWarm)
     ->Arg(64)
     ->Unit(benchmark::kMillisecond);
 
-BENCHMARK_CAPTURE(BM_Rotation, rebuild, false)
-    ->Arg(96)
-    ->Arg(288)
-    ->Arg(864)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_Rotation, incremental, true)
+BENCHMARK(BM_Rotation)
+    ->Name("BM_Rotation/incremental")
     ->Arg(96)
     ->Arg(288)
     ->Arg(864)

@@ -1,11 +1,10 @@
 // Serving-loop benchmark: windows-per-second and per-window cost of the
-// ServiceHarness across its robustness features — eviction on/off (the
-// memory/throughput tradeoff of the rolling store), segment length (session
+// ServiceHarness across its robustness features — segment length (session
 // rebuild amortization), sharding, inline vs background guide refresh, and
 // a faulted run (flash crowd + slow shard + forced refresh failures) versus
 // the clean baseline. Counters expose the service-side outcomes: matched
-// pairs, evictions, shed load, and the final store size (the memory story —
-// with eviction off the store holds the whole admitted history).
+// pairs, evictions, shed load, and the final live-set size (the memory
+// story: it holds the live tail, never the admitted history).
 
 #include <benchmark/benchmark.h>
 
@@ -74,17 +73,9 @@ void RunService(benchmark::State& state, const ServiceOptions& options,
   state.counters["swaps"] = static_cast<double>(last.guide_swaps);
 }
 
-/// The serving default: evicting store, one-day segments, inline refresh.
+/// The serving default: one-day segments, inline refresh.
 void BM_ServeBaseline(benchmark::State& state) {
   ServiceOptions options;
-  RunService(state, options, state.range(0));
-}
-
-/// The unbounded reference the eviction property tests diff against: same
-/// decisions, store grows with the admitted history.
-void BM_ServeNoEvict(benchmark::State& state) {
-  ServiceOptions options;
-  options.evict_expired = false;
   RunService(state, options, state.range(0));
 }
 
@@ -124,7 +115,6 @@ void BM_ServeFaulted(benchmark::State& state) {
 }
 
 BENCHMARK(BM_ServeBaseline)->Arg(12)->Arg(24)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ServeNoEvict)->Arg(24)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ServeSegment)
     ->Args({24, 1})
     ->Args({24, 2})

@@ -4,6 +4,18 @@
 
 namespace ftoa {
 
+namespace {
+
+/// Inside the closed region [0, width] x [0, height]. The upper edges are
+/// valid locations (TruncatedNormal::Sample can return its upper bound
+/// exactly); NaN fails every comparison.
+bool InClosedRegion(const GridSpec& grid, Point p) {
+  return p.x >= 0.0 && p.x <= grid.width() && p.y >= 0.0 &&
+         p.y <= grid.height();
+}
+
+}  // namespace
+
 Instance::Instance(SpacetimeSpec spacetime, double velocity,
                    std::vector<Worker> workers, std::vector<Task> tasks)
     : spacetime_(spacetime),
@@ -52,7 +64,7 @@ Status Instance::Validate() const {
       return Status::InvalidArgument(
           "Instance: worker start beyond the horizon");
     }
-    if (!grid.Contains(grid.Clamp(w.location))) {
+    if (!InClosedRegion(grid, w.location)) {
       return Status::InvalidArgument("Instance: worker outside the region");
     }
   }
@@ -68,7 +80,7 @@ Status Instance::Validate() const {
       return Status::InvalidArgument(
           "Instance: task start beyond the horizon");
     }
-    if (!grid.Contains(grid.Clamp(r.location))) {
+    if (!InClosedRegion(grid, r.location)) {
       return Status::InvalidArgument("Instance: task outside the region");
     }
   }

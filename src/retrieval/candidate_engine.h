@@ -247,23 +247,28 @@ class CandidateCursor {
       return;
     }
     const GridSpec& grid = store_->grid();
-    radius = std::min(radius, grid.width() + grid.height());
+    // The cell range and the cell lower bounds are measured from the origin
+    // clamped into the region (see TopKScan::cell_origin); distances from
+    // the true origin. Clamped points are never farther apart than the
+    // region's width + height, which caps the range.
+    const Point cell_origin = grid.Clamp(origin);
+    const double reach = std::min(radius, grid.width() + grid.height());
     const int cx_lo = std::max(
-        0, static_cast<int>((origin.x - radius) / grid.cell_width()));
-    const int cx_hi =
-        std::min(grid.cells_x() - 1,
-                 static_cast<int>((origin.x + radius) / grid.cell_width()));
+        0, static_cast<int>((cell_origin.x - reach) / grid.cell_width()));
+    const int cx_hi = std::min(
+        grid.cells_x() - 1,
+        static_cast<int>((cell_origin.x + reach) / grid.cell_width()));
     const int cy_lo = std::max(
-        0, static_cast<int>((origin.y - radius) / grid.cell_height()));
-    const int cy_hi =
-        std::min(grid.cells_y() - 1,
-                 static_cast<int>((origin.y + radius) / grid.cell_height()));
+        0, static_cast<int>((cell_origin.y - reach) / grid.cell_height()));
+    const int cy_hi = std::min(
+        grid.cells_y() - 1,
+        static_cast<int>((cell_origin.y + reach) / grid.cell_height()));
     for (int cy = cy_lo; cy <= cy_hi; ++cy) {
       for (int cx = cx_lo; cx <= cx_hi; ++cx) {
         const CellId cell = grid.CellAt(cx, cy);
         const std::vector<RetrievalCandidate>& bucket = store_->bucket(cell);
         if (bucket.empty()) continue;
-        if (grid.DistanceToCell(origin, cell) > radius) continue;
+        if (grid.DistanceToCell(cell_origin, cell) > radius) continue;
         ++cells;
         auto it = WindowBegin(bucket, window.lo);
         for (; it != bucket.end() && it->start <= window.hi; ++it) {

@@ -33,7 +33,8 @@ ServiceHarness::ServiceHarness(LoopedTraceSource source,
                                ServiceOptions options, FaultInjector faults)
     : source_(std::move(source)),
       options_(std::move(options)),
-      faults_(std::move(faults)) {
+      faults_(std::move(faults)),
+      live_set_(source_.day_horizon()) {
   spd_ = source_.generator().profile().slots_per_day;
   if (options_.analytical_slice > 0) {
     // Analytical isolation: one pool shared by the shard actors and the
@@ -188,34 +189,6 @@ Status ServiceHarness::RefitPredictors(int64_t day) {
   return Status::OK();
 }
 
-void ServiceHarness::ExpireUpTo(double time, WindowMetrics* metrics) {
-  expired_up_to_ = time;
-  while (!deadline_heap_.empty() && deadline_heap_.top().first <= time) {
-    const int64_t stream_id = deadline_heap_.top().second;
-    deadline_heap_.pop();
-    auto it = store_.find(stream_id);
-    if (it == store_.end()) continue;  // Freed at match time.
-    if (!it->second.matched) {
-      --live_;
-      ++totals_.evictions;
-      if (metrics != nullptr) ++metrics->evicted;
-      // The safety invariant the property tests pin: a record freed here
-      // is never live (its deadline has passed).
-      if (it->second.Deadline() > time) ++totals_.evicted_live;
-    }
-    // The open segment's universe still references the record (an object
-    // expiring mid-segment can legitimately match during the replay — it
-    // was live at its arrival); free it at rotation instead.
-    if (options_.evict_expired) {
-      if (segment_.open) {
-        deferred_free_.push_back(stream_id);
-      } else {
-        store_.erase(it);
-      }
-    }
-  }
-}
-
 PredictionMatrix ServiceHarness::PredictionFor(int64_t window) const {
   const SpacetimeSpec spacetime = source_.DaySpacetime();
   PredictionMatrix prediction(spacetime);
@@ -301,7 +274,6 @@ void ServiceHarness::StartSegment(int64_t window) {
   segment_.day = window / spd_;
   segment_.end = std::min(window + options_.windows_per_segment,
                           (segment_.day + 1) * spd_);
-  segment_.admitted.resize(static_cast<size_t>(segment_.end - window));
   segment_.start_guide = slot_.Get();
 
   const bool needs_guide = AlgorithmNeedsGuide(options_.algorithm);
@@ -312,82 +284,14 @@ void ServiceHarness::StartSegment(int64_t window) {
           options_.max_guide_age_windows;
   segment_.degraded = needs_guide && (no_guide || too_stale);
 
-  if (options_.incremental_rotation) {
-    // Incremental mode: the carryover lives in the persistent spine;
-    // compact it in place instead of rescanning the store.
-    CompactSpine(window, segment_.day);
-    return;
-  }
-
-  // Rebuild reference: every still-live unmatched object from earlier
-  // segments, re-offered in stream-id order (deterministic regardless of
-  // the store's hash order or eviction mode).
-  const double now = static_cast<double>(window);
-  // ftoa-lint: ok(no-unordered-iteration): hash order never escapes — the collected ids are sorted below before any consumer sees them
-  for (const auto& entry : store_) {
-    if (!entry.second.matched && entry.second.Deadline() > now) {
-      segment_.carryover.push_back(entry.first);
-    }
-  }
-  std::sort(segment_.carryover.begin(), segment_.carryover.end());
+  live_set_.StartSegment(window, segment_.day);
 }
 
-void ServiceHarness::CompactSpine(int64_t window, int64_t day) {
-  // Equivalence with the rebuild reference (pinned by the rotation tests):
-  // the spine holds exactly the previous segment's universe members whose
-  // records survived unmatched (ReplaySegment's rebuild step), and every
-  // live unmatched record is in some previous segment's universe (admitted
-  // objects enter a segment; unmatched survivors chain through carryover).
-  // Dropping matched/freed/expired entries here therefore leaves the same
-  // object set the store scan + deadline filter would produce — in
-  // O(carryover), never O(store).
-  const double now = static_cast<double>(window);
-  const double day_start = static_cast<double>(day) * source_.day_horizon();
-  const bool retime = day != spine_day_;
-  size_t kept = 0;
-  for (const SpineEntry& entry : spine_) {
-    const auto it = store_.find(entry.stream_id);
-    if (it == store_.end() || it->second.matched ||
-        it->second.Deadline() <= now) {
-      continue;
-    }
-    SpineEntry survivor = entry;
-    if (retime) {
-      // Recomputed from the record's absolute times — idempotent, so
-      // surviving several day boundaries gives the same values the
-      // rebuild path derives fresh each segment.
-      double rel_start = it->second.abs_start - day_start;
-      double duration = it->second.duration;
-      if (rel_start < 0.0) {
-        duration = it->second.Deadline() - day_start;
-        rel_start = 0.0;
-      }
-      if (duration <= 0.0) continue;
-      survivor.rel_time = rel_start;
-      survivor.duration = duration;
-    }
-    spine_[kept++] = survivor;
-  }
-  spine_.resize(kept);
-  if (retime) {
-    // Re-timing can reorder (previous-day survivors all collapse to
-    // rel_time 0); restore the spine's sort invariant. O(c log c) on the
-    // carryover only.
-    std::sort(spine_.begin(), spine_.end(),
-              [](const SpineEntry& a, const SpineEntry& b) {
-                if (a.rel_time != b.rel_time) return a.rel_time < b.rel_time;
-                if (a.kind != b.kind) return a.kind == ObjectKind::kWorker;
-                return a.stream_id < b.stream_id;
-              });
-    spine_day_ = day;
-  }
-}
-
-void ServiceHarness::AdmitWindow(int64_t window) {
+void ServiceHarness::AdmitWindow(int64_t window, int64_t evicted) {
   WindowMetrics metrics;
   metrics.window = window;
   metrics.day = window / spd_;
-  ExpireUpTo(static_cast<double>(window), &metrics);
+  metrics.evicted = evicted;
 
   const double window_end = static_cast<double>(window) + 1.0;
   std::vector<StreamArrival> batch;
@@ -434,8 +338,8 @@ void ServiceHarness::AdmitWindow(int64_t window) {
                      (1.0 - options_.overload_shed_fraction))));
   }
   if (options_.max_live_objects > 0) {
-    allowed = std::min(allowed,
-                       std::max<int64_t>(0, options_.max_live_objects - live_));
+    allowed = std::min(allowed, std::max<int64_t>(0, options_.max_live_objects -
+                                                        live_set_.live()));
   }
 
   std::vector<char> shed_flag(batch.size(), 0);
@@ -455,21 +359,13 @@ void ServiceHarness::AdmitWindow(int64_t window) {
   const SpacetimeSpec day_spacetime = source_.DaySpacetime();
   const double day_start =
       static_cast<double>(metrics.day) * source_.day_horizon();
-  std::vector<int64_t>& admitted =
-      segment_.admitted[static_cast<size_t>(window - segment_.begin)];
   for (size_t i = 0; i < batch.size(); ++i) {
     if (shed_flag[i]) {
       ++metrics.shed;
       continue;
     }
     const StreamArrival& arrival = batch[i];
-    const int64_t stream_id = next_stream_id_++;
-    store_.emplace(stream_id,
-                   ObjectRecord{arrival.kind, arrival.location, arrival.time,
-                                arrival.duration, false});
-    deadline_heap_.emplace(arrival.Deadline(), stream_id);
-    ++live_;
-    admitted.push_back(stream_id);
+    live_set_.Admit(arrival, next_stream_id_++, window);
     ++metrics.admitted;
     const TypeId type =
         day_spacetime.TypeOf(arrival.location, arrival.time - day_start);
@@ -481,7 +377,7 @@ void ServiceHarness::AdmitWindow(int64_t window) {
   }
 
   metrics.overloaded = slo_tripped || metrics.shed > 0;
-  metrics.live_objects = live_;
+  metrics.live_objects = live_set_.live();
   metrics.live_bytes = memory_tracker::LiveBytes();
   const GuideSlot::Snapshot snapshot = slot_.Get();
   metrics.guide_epoch = snapshot.epoch;
@@ -506,8 +402,9 @@ void ServiceHarness::AdmitWindow(int64_t window) {
   totals_.offered += metrics.offered;
   totals_.admitted += metrics.admitted;
   totals_.shed += metrics.shed;
-  totals_.store_peak =
-      std::max(totals_.store_peak, static_cast<int64_t>(store_.size()));
+  totals_.evictions += evicted;
+  totals_.evicted_live = live_set_.evicted_live();
+  totals_.store_peak = live_set_.peak();
   windows_.push_back(metrics);
 }
 
@@ -515,81 +412,30 @@ Status ServiceHarness::ReplaySegment() {
   Segment segment = std::move(segment_);
   segment_ = Segment{};
   ++totals_.segments;
-  const double day_start =
-      static_cast<double>(segment.day) * source_.day_horizon();
 
   // The segment universe: the carryover plus this segment's admissions,
   // all on the day-relative axis the guide's spacetime discretizes, in
   // session arrival order — nondecreasing time, workers before tasks at
   // ties, lower ids first. Local ids are assigned in this order, so the id
   // tie-break and the stream-id tie-break agree.
-  const auto arrival_order = [](const SpineEntry& a, const SpineEntry& b) {
-    if (a.rel_time != b.rel_time) return a.rel_time < b.rel_time;
-    if (a.kind != b.kind) return a.kind == ObjectKind::kWorker;
-    return a.stream_id < b.stream_id;
-  };
-  // This segment's admissions are already in arrival order by
-  // construction: each window's batch is fed in (time, kind, source) order
-  // and stream ids are handed out along it, windows never interleave times.
-  std::vector<SpineEntry> fresh;
-  for (size_t offset = 0; offset < segment.admitted.size(); ++offset) {
-    for (const int64_t stream_id : segment.admitted[offset]) {
-      const ObjectRecord& record = store_.at(stream_id);
-      fresh.push_back(SpineEntry{
-          stream_id, record.kind, record.abs_start - day_start,
-          record.duration, record.location,
-          segment.begin + static_cast<int64_t>(offset)});
-    }
-  }
-  std::vector<SpineEntry> objects;
-  if (options_.incremental_rotation) {
-    // Incremental rotation: the spine is the compacted, sorted carryover
-    // (CompactSpine ran at StartSegment); stamp its latency-attribution
-    // window and merge with the sorted admissions — O(carryover + new),
-    // replacing the rebuild's full re-sort.
-    for (SpineEntry& entry : spine_) entry.window = segment.begin;
-    objects.resize(spine_.size() + fresh.size());
-    std::merge(spine_.begin(), spine_.end(), fresh.begin(), fresh.end(),
-               objects.begin(), arrival_order);
-  } else {
-    // Rebuild reference: derive the carryover from the store records and
-    // sort the whole universe.
-    objects.reserve(segment.carryover.size() + fresh.size());
-    for (const int64_t stream_id : segment.carryover) {
-      const ObjectRecord& record = store_.at(stream_id);
-      // A previous-day survivor re-enters at the day boundary with its
-      // remaining patience; same-day carryover keeps its true start.
-      double rel_start = record.abs_start - day_start;
-      double duration = record.duration;
-      if (rel_start < 0.0) {
-        duration = (record.Deadline() - day_start);
-        rel_start = 0.0;
-      }
-      if (duration <= 0.0) continue;
-      objects.push_back(SpineEntry{stream_id, record.kind, rel_start,
-                                   duration, record.location,
-                                   segment.begin});
-    }
-    objects.insert(objects.end(), fresh.begin(), fresh.end());
-    std::sort(objects.begin(), objects.end(), arrival_order);
-  }
-
+  const std::vector<LiveSet::Entry>& objects = live_set_.SealUniverse();
   std::vector<Worker> workers;
   std::vector<Task> tasks;
-  std::vector<int64_t> worker_stream, task_stream;
+  // Universe position of each session-local worker and task id.
+  std::vector<size_t> worker_pos, task_pos;
   std::vector<int32_t> local_id(objects.size(), -1);
   for (size_t i = 0; i < objects.size(); ++i) {
-    const SpineEntry& object = objects[i];
+    const LiveSet::Entry& object = objects[i];
     if (object.kind == ObjectKind::kWorker) {
       local_id[i] = static_cast<int32_t>(workers.size());
       workers.push_back(Worker{-1, object.location, object.rel_time,
-                               object.duration});
-      worker_stream.push_back(object.stream_id);
+                               object.rel_duration});
+      worker_pos.push_back(i);
     } else {
       local_id[i] = static_cast<int32_t>(tasks.size());
       tasks.push_back(
-          Task{-1, object.location, object.rel_time, object.duration});
-      task_stream.push_back(object.stream_id);
+          Task{-1, object.location, object.rel_time, object.rel_duration});
+      task_pos.push_back(i);
     }
   }
   const Instance instance(source_.DaySpacetime(),
@@ -629,7 +475,7 @@ Status ServiceHarness::ReplaySegment() {
     const size_t metrics_index = static_cast<size_t>(window - segment.begin);
     for (; cursor < objects.size() && objects[cursor].rel_time < rel_bound;
          ++cursor) {
-      const SpineEntry& object = objects[cursor];
+      const LiveSet::Entry& object = objects[cursor];
       // The fault lane is the shard that would really receive the event —
       // the session router's assignment over the session-local id — so an
       // injected drop-batch fault hits one actual shard's handoff, not a
@@ -674,21 +520,19 @@ Status ServiceHarness::ReplaySegment() {
   totals_.guide_swaps += result.metrics.guide_swaps;
 
   // Fold the segment's outcome back: committed pairs to stream ids, the
-  // store's matched flags (with live accounting against the expiry
-  // horizon), and the per-window latency report.
+  // matched universe positions out of the live set, and the per-window
+  // latency report.
   const int64_t rotation_window = segment.end - 1;
+  std::vector<char> matched(objects.size(), 0);
   for (const MatchedPair& pair : result.assignment.pairs()) {
-    const int64_t worker_id = worker_stream[static_cast<size_t>(pair.worker)];
-    const int64_t task_id = task_stream[static_cast<size_t>(pair.task)];
-    matched_pairs_.emplace_back(worker_id, task_id);
-    for (const int64_t stream_id : {worker_id, task_id}) {
-      auto it = store_.find(stream_id);
-      if (it == store_.end() || it->second.matched) continue;
-      it->second.matched = true;
-      if (it->second.Deadline() > expired_up_to_) --live_;
-      if (options_.evict_expired) store_.erase(it);
-    }
+    const size_t worker = worker_pos[static_cast<size_t>(pair.worker)];
+    const size_t task = task_pos[static_cast<size_t>(pair.task)];
+    matched_pairs_.emplace_back(objects[worker].stream_id,
+                                objects[task].stream_id);
+    matched[worker] = 1;
+    matched[task] = 1;
   }
+  live_set_.TakeMatches(matched);
   totals_.matched += static_cast<int64_t>(result.assignment.size());
   windows_[static_cast<size_t>(rotation_window)].matched +=
       static_cast<int64_t>(result.assignment.size());
@@ -718,28 +562,6 @@ Status ServiceHarness::ReplaySegment() {
     last_known_p99_ms_ = metrics.p99_ms;
   }
 
-  // Rotation is the eviction point: free the records that expired during
-  // the segment (those the fold matched are already gone).
-  if (options_.evict_expired) {
-    for (const int64_t stream_id : deferred_free_) store_.erase(stream_id);
-  }
-  deferred_free_.clear();
-
-  if (options_.incremental_rotation) {
-    // The next spine: this segment's universe members whose records
-    // survived unmatched, in the order they already hold (filtering a
-    // sorted list preserves its order). O(carryover + new) — the store is
-    // never scanned. Entries whose deadline has passed but whose record
-    // survives (evict off) ride along and are dropped by the next
-    // CompactSpine, exactly like the rebuild's deadline filter would.
-    spine_.clear();
-    for (const SpineEntry& object : objects) {
-      const auto it = store_.find(object.stream_id);
-      if (it == store_.end() || it->second.matched) continue;
-      spine_.push_back(object);
-    }
-    spine_day_ = segment.day;
-  }
   return Status::OK();
 }
 
@@ -749,16 +571,18 @@ Status ServiceHarness::RunWindows(int64_t count) {
     ++next_window_;
     if (window % spd_ == 0) FTOA_RETURN_NOT_OK(StartDay(window / spd_));
     FTOA_RETURN_NOT_OK(HandleRefresh(window));
+    // Expiry precedes the segment start, whose carryover compaction drops
+    // exactly what this boundary expired.
+    const int64_t evicted =
+        live_set_.ExpireUpTo(static_cast<double>(window));
     if (!segment_.open) StartSegment(window);
-    AdmitWindow(window);
+    AdmitWindow(window, evicted);
     if (window + 1 == segment_.end) FTOA_RETURN_NOT_OK(ReplaySegment());
   }
   if (segment_.open) {
     // Rotate the partial segment so every emitted window reports complete
     // metrics (the next RunWindows starts a fresh segment).
     segment_.end = next_window_;
-    segment_.admitted.resize(static_cast<size_t>(segment_.end -
-                                                 segment_.begin));
     FTOA_RETURN_NOT_OK(ReplaySegment());
   }
   return Status::OK();

@@ -17,8 +17,8 @@
 // Arrivals admitted during a segment plus the previous segments' still-live
 // unmatched objects (the carryover) form the segment's instance; the
 // segment is replayed through one ShardedSession with AdvanceTo at every
-// window boundary, then finished and its matches folded back into the
-// store. Objects an injected fault drops on the harness→session handoff
+// window boundary, then finished and its matches dropped from the live
+// set. Objects an injected fault drops on the harness→session handoff
 // stay unmatched and are redelivered with the next carryover.
 //
 // Guide lifecycle: a GuideRefresher re-solves the guide from realized
@@ -31,14 +31,13 @@
 // fresh guide -> stale guide (refresh failed, slot kept) -> guide-free
 // greedy (no guide yet, or staleness beyond max_guide_age_windows).
 //
-// Memory model: every admitted object lives in an id-keyed store plus a
-// deadline-ordered min-heap. At each window boundary objects whose
-// deadline has passed are popped; with evict_expired on (the serving
-// default) their records are freed — the store never holds more than the
-// live set plus the current segment. Eviction is *observationally
-// inert by construction*: the heap, the live counter, and the carryover
-// filter run identically with eviction on or off, so the committed
-// assignments are bit-identical (the eviction property tests pin this).
+// Memory model: one LiveSet (serve/live_set) owns every object that can
+// still be offered to a session — the carryover plus the open segment's
+// admissions — in session arrival order. At each window boundary its
+// deadline structure pops the objects whose deadline has passed, which
+// leave once no open segment can still match them, and each rotation
+// drops what the replay matched, so memory stays O(live objects + one
+// segment).
 //
 // Admission control: per window the harness sheds deterministically,
 // oldest deadline first, whenever the offered batch exceeds
@@ -52,9 +51,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <queue>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -65,6 +62,7 @@
 #include "retrieval/mode.h"
 #include "serve/fault_injector.h"
 #include "serve/guide_refresher.h"
+#include "serve/live_set.h"
 #include "util/result.h"
 #include "util/thread_pool.h"
 
@@ -108,15 +106,6 @@ struct ServiceOptions {
   /// realized-counts source. Unknown names fail Create.
   std::string refresh_predictor;
 
-  /// Segment rotation strategy. True (the serving default) maintains a
-  /// persistent sorted arrival spine across segments: carryover survivors
-  /// are compacted/re-timed in place and newly admitted objects are
-  /// merge-inserted, so rotation costs O(carryover + new) instead of
-  /// O(store) + a full re-sort. False runs the PR 6 rebuild reference
-  /// (scan the store, sort everything); committed assignments are
-  /// bit-identical either way (pinned by the rotation equivalence tests).
-  bool incremental_rotation = true;
-
   /// Analytical pool isolation: > 0 shares one thread pool between the
   /// shard actors and the background refresher, with the refresher capped
   /// to this many concurrent tasks via a PoolSlice (util/thread_pool.h) so
@@ -143,10 +132,6 @@ struct ServiceOptions {
   /// Guide staleness (windows since publish) beyond which a segment runs
   /// guide-free greedy instead; 0 = never degrade on age alone.
   int64_t max_guide_age_windows = 0;
-
-  /// Free expired-object records (the serving default). Off = the
-  /// unbounded reference the eviction property tests compare against.
-  bool evict_expired = true;
 
   /// Fault plan (serve/fault_injector spec grammar; empty = none) and its
   /// RNG seed.
@@ -223,10 +208,10 @@ struct ServiceTotals {
   int64_t dropped_arrivals = 0;
   /// Guide hot-swaps adopted by running shard sessions (mid-segment).
   int64_t guide_swaps = 0;
-  /// Records freed while still live — the eviction safety invariant; any
-  /// nonzero value is a harness bug (pinned by the property tests).
+  /// Objects dropped unmatched before their deadline (LiveSet::
+  /// evicted_live); any nonzero value is a harness bug.
   int64_t evicted_live = 0;
-  /// High-water mark of the object store (records held simultaneously).
+  /// High-water mark of the live set (entries held simultaneously).
   int64_t store_peak = 0;
 
   /// Guide refresh cost attribution across all published cycles.
@@ -261,30 +246,18 @@ class ServiceHarness {
     return faults_.counters();
   }
 
-  int64_t live_objects() const { return live_; }
-  /// Records currently held (== admitted-ever with eviction off).
-  int64_t store_size() const { return static_cast<int64_t>(store_.size()); }
+  int64_t live_objects() const { return live_set_.live(); }
+  /// Live-set entries currently held.
+  int64_t store_size() const { return live_set_.size(); }
   int64_t guide_epoch() const { return slot_.epoch(); }
 
   /// Every committed pair as (worker stream id, task stream id), in
-  /// segment rotation order — deterministic, and independent of
-  /// evict_expired (the bit-identity contract).
+  /// segment rotation order — deterministic.
   const std::vector<std::pair<int64_t, int64_t>>& matched_pairs() const {
     return matched_pairs_;
   }
 
  private:
-  /// One admitted (or carried-over) object, keyed by its stream id.
-  struct ObjectRecord {
-    ObjectKind kind = ObjectKind::kWorker;
-    Point location;
-    double abs_start = 0.0;
-    double duration = 0.0;
-    bool matched = false;
-
-    double Deadline() const { return abs_start + duration; }
-  };
-
   /// The segment currently accepting windows.
   struct Segment {
     bool open = false;
@@ -293,33 +266,16 @@ class ServiceHarness {
     int64_t day = 0;
     GuideSlot::Snapshot start_guide;
     bool degraded = false;
-    std::vector<int64_t> carryover;  ///< Stream ids, sorted ascending.
-    std::vector<std::vector<int64_t>> admitted;  ///< Per window, in order.
     /// Publishes that landed mid-segment: applied at their window's
     /// AdvanceTo boundary during replay.
     std::vector<std::pair<int64_t, std::shared_ptr<const OfflineGuide>>>
         swaps;
   };
 
-  /// One object of a segment's replay universe, on the day-relative axis.
-  /// Also the element of the persistent rotation spine (incremental mode):
-  /// the spine holds the previous segments' still-live unmatched objects
-  /// sorted by (rel_time, kind, stream_id), rel_time relative to
-  /// spine_day_.
-  struct SpineEntry {
-    int64_t stream_id = 0;
-    ObjectKind kind = ObjectKind::kWorker;
-    double rel_time = 0.0;
-    double duration = 0.0;
-    Point location;
-    int64_t window = 0;  ///< Window its feed latency is attributed to.
-  };
-
   ServiceHarness(LoopedTraceSource source, ServiceOptions options,
                  FaultInjector faults);
 
   Status StartDay(int64_t day);
-  void ExpireUpTo(double time, WindowMetrics* metrics);
   Status HandleRefresh(int64_t window);
   PredictionMatrix PredictionFor(int64_t window) const;
   /// Rolling refit of the learned refresh predictor at a day boundary
@@ -327,12 +283,8 @@ class ServiceHarness {
   /// dataset and fits fresh predictor instances on it.
   Status RefitPredictors(int64_t day);
   void StartSegment(int64_t window);
-  /// Incremental-rotation carryover maintenance: drops dead spine entries
-  /// (matched / freed / expired), re-times survivors when the segment's
-  /// day differs from spine_day_, and restores the spine's sort order.
-  /// O(carryover) (+ O(c log c) on a day change), never O(store).
-  void CompactSpine(int64_t window, int64_t day);
-  void AdmitWindow(int64_t window);
+  /// Admits window `window`; `evicted` is what its boundary expired.
+  void AdmitWindow(int64_t window, int64_t evicted);
   Status ReplaySegment();
 
   LoopedTraceSource source_;
@@ -367,27 +319,9 @@ class ServiceHarness {
   std::unique_ptr<DemandDataset> predictor_data_;
   int predictor_target_day_ = 0;  ///< Dataset day PredictionFor predicts.
 
-  std::unordered_map<int64_t, ObjectRecord> store_;
-  /// (deadline, stream id) min-heap driving window-boundary expiry.
-  std::priority_queue<std::pair<double, int64_t>,
-                      std::vector<std::pair<double, int64_t>>,
-                      std::greater<std::pair<double, int64_t>>>
-      deadline_heap_;
-  int64_t live_ = 0;
-  /// Expired records awaiting their free at rotation (the open segment's
-  /// replay may still match them; evict_expired mode only).
-  std::vector<int64_t> deferred_free_;
-  /// Deadline bound of the last ExpireUpTo — "already popped" horizon the
-  /// match-marking live accounting keys off.
-  double expired_up_to_ = 0.0;
-
+  LiveSet live_set_;
   Segment segment_;
   double last_known_p99_ms_ = 0.0;  ///< From the last replayed window.
-
-  /// Incremental rotation spine (see SpineEntry) and the day its rel_times
-  /// are relative to (-1 before the first rotation).
-  std::vector<SpineEntry> spine_;
-  int64_t spine_day_ = -1;
 
   /// Refresh cost report awaiting attribution to the next emitted window
   /// (HandleRefresh runs before the window's metrics row exists).

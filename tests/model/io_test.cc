@@ -113,6 +113,35 @@ TEST(InstanceIoTest, RejectsInvalidSpec) {
   std::remove(path.c_str());
 }
 
+TEST(InstanceIoTest, RejectsLocationsOutsideTheRegion) {
+  // An 8 x 6 region: a worker or a task half a unit outside either edge is
+  // rejected; one exactly on the upper edges still loads.
+  const auto load = [](const std::string& name, const std::string& record) {
+    const std::string path = TempPath(name);
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    std::fputs(("ftoa-instance,1\nspec,8,6,2,2,10,2,1\n" + record).c_str(),
+               f);
+    std::fclose(f);
+    const auto loaded = LoadInstanceCsv(path);
+    std::remove(path.c_str());
+    return loaded.status();
+  };
+  for (const char* kind : {"worker", "task"}) {
+    for (const char* x : {"-0.5", "8.5"}) {
+      const Status status = load("ftoa_io_outside.csv", std::string(kind) +
+                                                            "," + x +
+                                                            ",1.0,0.5,2\n");
+      EXPECT_TRUE(status.IsInvalidArgument()) << kind << " x=" << x;
+    }
+    const Status nan = load("ftoa_io_nan.csv",
+                            std::string(kind) + ",nan,1.0,0.5,2\n");
+    EXPECT_TRUE(nan.IsInvalidArgument()) << kind << " x=nan";
+    const Status edge = load("ftoa_io_edge.csv",
+                             std::string(kind) + ",8,6,0.5,2\n");
+    EXPECT_TRUE(edge.ok()) << kind << ": " << edge;
+  }
+}
+
 TEST(InstanceIoTest, EmptyInstanceRoundTrips) {
   const Instance empty(
       SpacetimeSpec(SlotSpec(10.0, 2), GridSpec(8.0, 8.0, 2, 2)), 1.5, {},

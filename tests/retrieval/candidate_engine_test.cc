@@ -248,6 +248,24 @@ TEST(CandidateCursorTest, OutOfRegionPointsAreFoundFromOutOfRegionOrigins) {
   ExpectSameHits(cursor.TopKInCells({9}, origin, 10.0, 2, 0.0, StartWindow{},
                                     AcceptAll),
                  want, "cell list");
+
+  // The disk enumeration too: from this origin, and from one so far out
+  // that the radius exceeds the region's width + height.
+  store.Insert(Entry(2, 5.0, 5.0, 0.0, 10.0));
+  const auto disk = [&cursor](Point from, double radius) {
+    std::vector<std::pair<int64_t, double>> found;
+    cursor.ForEachInDisk(from, radius, 0.0, StartWindow{},
+                         [&found](const RetrievalCandidate& c, double d) {
+                           found.emplace_back(c.id, d);
+                         });
+    std::sort(found.begin(), found.end());
+    return found;
+  };
+  EXPECT_EQ(disk(origin, 10.0),
+            (std::vector<std::pair<int64_t, double>>{{1, 1.0}}));
+  EXPECT_EQ(disk({-500.0, 5.0}, 640.0),
+            (std::vector<std::pair<int64_t, double>>{{1, 630.0},
+                                                     {2, 505.0}}));
 }
 
 // ------------------------------------------------- cell-list top-k query --

@@ -1,10 +1,14 @@
-// PR tentpole equivalences at the harness level.
+// Harness-level equivalences.
 //
-// Rotation: the incremental spine (ServiceOptions::incremental_rotation)
-// must commit exactly the pairs of the PR 6 rebuild reference on the same
-// stream — across algorithms, shard counts, segment lengths, eviction
-// settings, fault plans, and day boundaries. The spine is an optimization
-// of *how* the carryover universe is assembled, never of what it contains.
+// Rotation: the live set's incremental carryover (serve/live_set) must
+// commit exactly the pairs, and report exactly the per-window live gauge
+// and evictions, of the original id-keyed store whose carryover was
+// rebuilt by scanning every record — across algorithms, shard counts,
+// segment lengths, fault plans, and day boundaries. That store is gone;
+// its runs are pinned as fingerprints (tests/serve/harness_fingerprint.h)
+// recorded from it, where its rebuild rotation, its incremental spine and
+// both eviction settings all agreed. The store-level oracle is
+// tests/serve/reference_live_set, driven by tests/serve/live_set_test.cc.
 //
 // Refresh: a harness serving with GuideRefreshMode::kWarm must match the
 // cold-serving harness bit for bit, including mid-segment hot-swap
@@ -22,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "serve/harness_fingerprint.h"
 #include "serve/service_harness.h"
 #include "util/rng.h"
 
@@ -62,31 +67,37 @@ void ExpectSamePairs(const ServiceHarness& a, const ServiceHarness& b,
 }
 
 TEST(RotationEquivalenceTest, SpineMatchesRebuildAcrossAlgorithmsAndShards) {
+  // Recorded from the rebuild reference (eviction on; eviction off gave the
+  // same values), in loop order: algorithm, shards, windows per segment.
+  const HarnessFingerprint kRebuild[] = {
+      {188, 0xf822e5a560b7020eULL, 0xd656533079df99c4ULL},
+      {188, 0xf822e5a560b7020eULL, 0xaf149e3a316aacabULL},
+      {161, 0x0d9c2c382b12d052ULL, 0x04ed1d653448d23dULL},
+      {161, 0x4c4be8e43d7506a2ULL, 0xf6592daca2847d4cULL},
+      {192, 0xed8410aa4dd46d43ULL, 0xa7681847f172adf6ULL},
+      {193, 0x44973993bd94df44ULL, 0x32827878acb0512aULL},
+      {161, 0x179b53faad3c781cULL, 0xdc338a95b77cc647ULL},
+      {161, 0x4c4be8e43d7506a2ULL, 0xf6592daca2847d4cULL},
+      {96, 0xdf9e657a23cd6f65ULL, 0x03e8819ca4c2c34cULL},
+      {97, 0x22d022ef1f74698eULL, 0xd51ade5ab8364f57ULL},
+      {47, 0x96b322acc083301cULL, 0xe73ed23bf448044cULL},
+      {47, 0x509d06803ddf90f4ULL, 0x5be0bd35438e4500ULL},
+  };
+  size_t next = 0;
   for (const char* algorithm : {"simple-greedy", "tgoa", "polar-op"}) {
     for (const int shards : {1, 3}) {
       for (const int wps : {2, 6}) {
-        for (const bool evict : {true, false}) {
-          ServiceOptions incremental;
-          incremental.algorithm = algorithm;
-          incremental.num_shards = shards;
-          incremental.windows_per_segment = wps;
-          incremental.evict_expired = evict;
-          incremental.incremental_rotation = true;
-          ServiceOptions rebuild = incremental;
-          rebuild.incremental_rotation = false;
-
-          auto a = MakeHarness(incremental);
-          auto b = MakeHarness(rebuild);
-          // 20 windows = 3+ days: multiple day-boundary re-timings.
-          ASSERT_TRUE(a->RunWindows(20).ok());
-          ASSERT_TRUE(b->RunWindows(20).ok());
-          ExpectSamePairs(
-              *a, *b,
-              std::string(algorithm) + " shards=" + std::to_string(shards) +
-                  " wps=" + std::to_string(wps) +
-                  (evict ? " evict" : " no-evict"));
-          EXPECT_GT(a->totals().matched, 0);
-        }
+        ServiceOptions options;
+        options.algorithm = algorithm;
+        options.num_shards = shards;
+        options.windows_per_segment = wps;
+        auto harness = MakeHarness(options);
+        // 20 windows = 3+ days: multiple day-boundary re-timings.
+        ASSERT_TRUE(harness->RunWindows(20).ok());
+        EXPECT_EQ(FingerprintOf(*harness), kRebuild[next++])
+            << algorithm << " shards=" << shards << " wps=" << wps;
+        EXPECT_GT(harness->totals().matched, 0);
+        EXPECT_EQ(harness->totals().evicted_live, 0);
       }
     }
   }
@@ -95,22 +106,20 @@ TEST(RotationEquivalenceTest, SpineMatchesRebuildAcrossAlgorithmsAndShards) {
 TEST(RotationEquivalenceTest, SpineMatchesRebuildUnderFaults) {
   // Dropped handoffs leave objects for redelivery, flash crowds force
   // shedding, and a failed refresh degrades a segment — all paths that
-  // exercise the spine's carryover filter differently from a clean run.
-  ServiceOptions incremental;
-  incremental.windows_per_segment = 4;  // Shrinks to 2 at day boundaries.
-  incremental.max_queue_depth = 80;
-  incremental.faults =
+  // exercise the carryover filter differently from a clean run.
+  ServiceOptions options;
+  options.windows_per_segment = 4;  // Shrinks to 2 at day boundaries.
+  options.max_queue_depth = 80;
+  options.faults =
       "drop-batch@3-4,flash@7-8:factor=6,guide-fail@6-6:count=1";
-  ServiceOptions rebuild = incremental;
-  rebuild.incremental_rotation = false;
 
-  auto a = MakeHarness(incremental);
-  auto b = MakeHarness(rebuild);
-  ASSERT_TRUE(a->RunWindows(18).ok());
-  ASSERT_TRUE(b->RunWindows(18).ok());
-  ExpectSamePairs(*a, *b, "faulted");
-  EXPECT_GT(a->totals().dropped_arrivals, 0);
-  EXPECT_GT(a->totals().shed, 0);
+  auto harness = MakeHarness(options);
+  ASSERT_TRUE(harness->RunWindows(18).ok());
+  const HarnessFingerprint kRebuild = {64, 0x9c033e986d310ca1ULL,
+                                       0x9a852100d9aab68eULL};
+  EXPECT_EQ(FingerprintOf(*harness), kRebuild);
+  EXPECT_GT(harness->totals().dropped_arrivals, 0);
+  EXPECT_GT(harness->totals().shed, 0);
 }
 
 TEST(WarmRefreshServeTest, WarmServeMatchesColdIncludingHotSwaps) {
@@ -277,38 +286,53 @@ TEST(FaultLaneTest, ShardTargetedDropsFollowTheRouterNotStreamIds) {
 }
 
 TEST(RotationRefreshStressTest, FuzzedInterleavingsStayEquivalent) {
-  // Randomized option interleavings: every draw must keep the incremental
-  // spine equivalent to the rebuild reference, warm equivalent to cold —
-  // both at once, against the (rebuild, cold) baseline.
+  // Randomized option interleavings: every draw must serve warm exactly
+  // like cold, and both exactly like the rebuild reference (fingerprints
+  // recorded from it, trial by trial).
+  const HarnessFingerprint kRebuild[] = {
+      {129, 0x469de8881a4598a6ULL, 0x3473579c7596bbb2ULL},
+      {31, 0xbbeccfe019940f59ULL, 0x0cce0e035202aad4ULL},
+      {105, 0x0677499f455fd6e6ULL, 0xe3b019bd6876f33dULL},
+      {164, 0x4966524f3a732d4bULL, 0x0803ec9bbf899e25ULL},
+      {9, 0xc20073909c680bb6ULL, 0x3de1b260139f877bULL},
+      {47, 0xe57f2b85ac18db57ULL, 0x0a5308dacd000b80ULL},
+      {57, 0x79bb323140cecc2cULL, 0x773057f2b9fda288ULL},
+      {141, 0x476acaba44e152d2ULL, 0x22e297be8dc602dbULL},
+      {61, 0xc574fd69557bda89ULL, 0x8ac7a0d8607a0780ULL},
+      {97, 0xd3721581f2c16a6cULL, 0xa523a3a2b084a5e3ULL},
+      {140, 0xb8719f437deeb47fULL, 0xe74caff777b0982aULL},
+      {33, 0xbd90806c81d68a95ULL, 0x749874dcb4efb3a0ULL},
+  };
   Rng draw(20260808ULL);
   for (int trial = 0; trial < 12; ++trial) {
-    ServiceOptions base;
-    base.algorithm =
+    ServiceOptions cold;
+    cold.algorithm =
         std::vector<const char*>{"simple-greedy", "tgoa",
                                  "polar-op"}[draw.NextBounded(3)];
-    base.num_shards = static_cast<int>(draw.NextInt(1, 3));
-    base.windows_per_segment = static_cast<int>(draw.NextInt(1, 6));
-    base.refresh_period_windows = static_cast<int>(draw.NextInt(1, 6));
-    base.evict_expired = draw.NextBool();
-    base.guide.engine = GuideOptions::Engine::kCompressed;
+    cold.num_shards = static_cast<int>(draw.NextInt(1, 3));
+    cold.windows_per_segment = static_cast<int>(draw.NextInt(1, 6));
+    cold.refresh_period_windows = static_cast<int>(draw.NextInt(1, 6));
+    // Once the eviction toggle; still drawn so each trial keeps the
+    // options its fingerprint was recorded with.
+    draw.NextBool();
+    cold.guide.engine = GuideOptions::Engine::kCompressed;
     if (draw.NextBool(0.4)) {
-      base.faults = "drop-batch@2-5:prob=0.5,flash@6-7:factor=3";
-      base.max_queue_depth = 100;
+      cold.faults = "drop-batch@2-5:prob=0.5,flash@6-7:factor=3";
+      cold.max_queue_depth = 100;
     }
-    base.incremental_rotation = false;
-    base.guide.refresh_mode = GuideRefreshMode::kCold;
+    cold.guide.refresh_mode = GuideRefreshMode::kCold;
+    ServiceOptions warm = cold;
+    warm.guide.refresh_mode = GuideRefreshMode::kWarm;
 
-    ServiceOptions tentpole = base;
-    tentpole.incremental_rotation = true;
-    tentpole.guide.refresh_mode = GuideRefreshMode::kWarm;
-
-    auto reference = MakeHarness(base);
-    auto subject = MakeHarness(tentpole);
+    auto reference = MakeHarness(cold);
+    auto subject = MakeHarness(warm);
     const int64_t windows = draw.NextInt(7, 20);
     ASSERT_TRUE(reference->RunWindows(windows).ok());
     ASSERT_TRUE(subject->RunWindows(windows).ok());
-    ExpectSamePairs(*subject, *reference,
-                    "trial " + std::to_string(trial));
+    const std::string context = "trial " + std::to_string(trial);
+    ExpectSamePairs(*subject, *reference, context);
+    EXPECT_EQ(FingerprintOf(*reference), kRebuild[trial]) << context;
+    EXPECT_EQ(FingerprintOf(*subject), kRebuild[trial]) << context;
   }
 }
 

@@ -135,10 +135,10 @@ int Usage() {
       "       [--background-refresh] [--slo-p99-ms=F]\n"
       "       [--max-queue-depth=N] [--max-live-objects=N]\n"
       "       [--max-guide-age=N] [--faults=SPEC] [--fault-seed=N]\n"
-      "       [--loop-days=N] [--no-evict] [--reconcile]\n"
+      "       [--loop-days=N] [--reconcile]\n"
       "       [--retrieval=%s (default: auto by workload)]\n"
       "       [--refresh-mode=%s] [--refresh-predictor=%s]\n"
-      "       [--rotation=incremental|rebuild] [--analytical-slice=N]\n"
+      "       [--analytical-slice=N]\n"
       "  ftoa algos\n"
       "  ftoa inspect --instance=FILE\n",
       Join(AllShardRouterNames(), "|").c_str(),
@@ -370,9 +370,8 @@ int CmdServe(int argc, char** argv) {
       "shard-threads", "windows-per-segment", "refresh-period",
       "background-refresh", "slo-p99-ms", "max-queue-depth",
       "max-live-objects", "max-guide-age", "faults",
-      "fault-seed", "no-evict",       "reconcile",
-      "retrieval",  "refresh-mode",   "refresh-predictor",
-      "rotation",   "analytical-slice"};
+      "fault-seed", "reconcile",      "retrieval",
+      "refresh-mode", "refresh-predictor", "analytical-slice"};
   for (const std::string& key : args.Keys()) {
     if (std::find(kServeFlags.begin(), kServeFlags.end(), key) ==
         kServeFlags.end()) {
@@ -410,7 +409,6 @@ int CmdServe(int argc, char** argv) {
   options.max_guide_age_windows = args.GetInt("max-guide-age", 0);
   options.faults = args.Get("faults");
   options.fault_seed = static_cast<uint64_t>(args.GetInt("fault-seed", 1));
-  options.evict_expired = !args.Has("no-evict");
   options.reconcile = args.Has("reconcile");
   {
     const auto mode =
@@ -422,17 +420,6 @@ int CmdServe(int argc, char** argv) {
     options.guide.refresh_mode = *mode;
   }
   options.refresh_predictor = args.Get("refresh-predictor");
-  {
-    const std::string rotation = args.Get("rotation", "incremental");
-    if (rotation != "incremental" && rotation != "rebuild") {
-      std::fprintf(stderr,
-                   "serve: unknown --rotation=%s (valid: incremental, "
-                   "rebuild)\n",
-                   rotation.c_str());
-      return 2;
-    }
-    options.incremental_rotation = rotation == "incremental";
-  }
   options.analytical_slice =
       static_cast<int>(args.GetInt("analytical-slice", 0));
   std::string retrieval_note;

@@ -210,9 +210,8 @@ EOF
 
 # Headline numbers: the serving steady state — warm-refresh speedup on the
 # sparse-delta sequence (the >= 2x acceptance bar), per-window rotation
-# cost growth as the store grows (incremental must stay flat while the
-# rebuild reference degrades), and shard p99 under background refresh for
-# the dedicated vs shared-slice pool layouts.
+# cost as the stream grows (must stay flat), and shard p99 under
+# background refresh for the dedicated vs shared-slice pool layouts.
 python3 - "$ROOT/BENCH_refresh.json" <<'EOF'
 import json, sys
 benches = json.load(open(sys.argv[1]))["benchmarks"]
@@ -227,14 +226,13 @@ for clusters in (16, 64):
               f"(speedup {cold['real_time'] / warm['real_time']:.2f}x, "
               f"{warm['reused']:.0f}/{warm['components']:.0f} components "
               f"reused)")
-for mode in ("rebuild", "incremental"):
-    points = [runs.get(f"BM_Rotation/{mode}/{w}") for w in (96, 864)]
-    if all(points):
-        wps = [p["items_per_second"] for p in points]
-        print(f"rotation {mode:11s}: {wps[0]:.0f} -> {wps[1]:.0f} windows/s "
-              f"as the store grows {points[0]['store']:.0f} -> "
-              f"{points[-1]['store']:.0f} objects "
-              f"({wps[0] / wps[1]:.2f}x slowdown)")
+points = [runs.get(f"BM_Rotation/incremental/{w}") for w in (96, 864)]
+if all(points):
+    wps = [p["items_per_second"] for p in points]
+    print(f"rotation: {wps[0]:.0f} -> {wps[1]:.0f} windows/s from 96 to 864 "
+          f"windows, live set {points[0]['store']:.0f} -> "
+          f"{points[-1]['store']:.0f} entries "
+          f"({wps[0] / wps[1]:.2f}x slowdown)")
 for layout in ("dedicated", "shared_slice"):
     run = runs.get(f"BM_Interference/{layout}/24")
     if run:

@@ -9,6 +9,10 @@
 #                     tree so the default build dir keeps its cache
 #   ctest          -> the full suite (unit + property + stress + soak
 #                     smoke + lint labels)
+#   serve selftest -> python3 servebench/tests/selftest.py: one day of every
+#                     serving-benchmark workload through ServiceHarness,
+#                     checked against the recorded matched counts, with
+#                     evicted_live == 0 and every stream id used once
 #
 # The sanitizer gate (tools/run_sanitizers.sh: ASan/UBSan + TSan) is not
 # chained here because it rebuilds two more trees; run it separately for
@@ -26,18 +30,21 @@ set -euo pipefail
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${1:-$ROOT/build-gate}"
 
-echo "==== gate 1/4: format check"
+echo "==== gate 1/5: format check"
 "$ROOT/tools/run_format.sh" --check
 
-echo "==== gate 2/4: static analysis (clang-tidy + ftoa-lint)"
+echo "==== gate 2/5: static analysis (clang-tidy + ftoa-lint)"
 "$ROOT/tools/run_static_analysis.sh" "$BUILD"
 
-echo "==== gate 3/4: build, warnings as errors"
+echo "==== gate 3/5: build, warnings as errors"
 cmake -B "$BUILD" -S "$ROOT" -DFTOA_WERROR=ON >/dev/null
 cmake --build "$BUILD" -j "$(nproc)"
 
-echo "==== gate 4/4: ctest"
+echo "==== gate 4/5: ctest"
 ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)"
+
+echo "==== gate 5/5: serving-benchmark selftest"
+(cd "$ROOT" && python3 servebench/tests/selftest.py)
 
 if [[ "${FTOA_BENCH_GATE:-0}" != "0" ]]; then
   echo "==== optional gate: bench smoke + steady-state regression diff"
