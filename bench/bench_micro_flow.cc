@@ -1,10 +1,10 @@
 // Microbenchmark for the flow/matching engine overhaul:
 //
-//  * BM_MinCostFlowDijkstra vs BM_MinCostFlowSpfa — the new production
-//    solver (Dijkstra over Johnson reduced costs, binary heap, reusable
-//    arenas) against the retained SPFA reference on dense random bipartite
-//    assignment networks. The acceptance bar for the overhaul was >= 3x at
-//    2048 x 2048; measured ~5x on that instance.
+//  * BM_MinCostFlowDijkstra — the production solver (Dijkstra over
+//    Johnson reduced costs, binary heap, reusable arenas) on dense random
+//    bipartite assignment networks. It measured ~5x faster than the
+//    original SPFA-per-path solver at 2048 x 2048; that solver is now a
+//    test oracle (tests/flow/reference_min_cost_flow.h), not a bench leg.
 //  * BM_MinCostFlowEngine/<shape>_<engine> — the FlowEngine shape sweep
 //    behind ChooseFlowEngine's crossover table (docs/flow_engines.md):
 //    each registered engine (ssp, blocking-ssp, cost-scaling, auto) on the
@@ -18,9 +18,9 @@
 //    pattern of guide generation in a live deployment.
 //  * BM_DynamicMatchingArrivals vs BM_HopcroftKarpRebuildPerArrival — the
 //    incremental matcher's per-arrival augmenting-path cost against
-//    rebuilding a Hopcroft-Karp instance per arrival (the TGOA/GR pattern
-//    this PR removed). The rebuild leg is quadratic, so it only runs at
-//    small sizes.
+//    rebuilding a Hopcroft-Karp instance per arrival (the pattern of the
+//    TGOA/GR test oracles in tests/baselines/). The rebuild leg is
+//    quadratic, so it only runs at small sizes.
 //
 // tools/run_bench_smoke.sh runs this binary and records BENCH_flow.json
 // for the perf trajectory across PRs.
@@ -77,26 +77,6 @@ void BM_MinCostFlowDijkstra(benchmark::State& state) {
   state.counters["path_searches"] = static_cast<double>(g.path_searches());
 }
 BENCHMARK(BM_MinCostFlowDijkstra)
-    ->Args({512, 16})
-    ->Args({1024, 32})
-    ->Args({2048, 48})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_MinCostFlowSpfa(benchmark::State& state) {
-  const int32_t n = static_cast<int32_t>(state.range(0));
-  const int32_t degree = static_cast<int32_t>(state.range(1));
-  MinCostFlowGraph g;
-  int64_t flow = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    BuildAssignment(g, n, degree, 42);
-    state.ResumeTiming();
-    flow = g.SolveSpfa(0, 1 + 2 * n).flow;
-    benchmark::DoNotOptimize(flow);
-  }
-  state.counters["flow"] = static_cast<double>(flow);
-}
-BENCHMARK(BM_MinCostFlowSpfa)
     ->Args({512, 16})
     ->Args({1024, 32})
     ->Args({2048, 48})

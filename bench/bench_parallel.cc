@@ -15,6 +15,10 @@
 //    num_threads; trials fork independent RNG streams, so this scales with
 //    cores regardless of the guide's component structure.
 //
+// Every family sweeps a thread count, so all run UseRealTime():
+// items_per_second is wall-clock throughput, not work per main-thread CPU
+// second.
+//
 // tools/run_bench_smoke.sh runs this binary and records
 // BENCH_parallel.json for the perf trajectory across PRs.
 
@@ -90,6 +94,7 @@ BENCHMARK(BM_GuideCompressed)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_GuideCompressedMinCost(benchmark::State& state) {
@@ -100,6 +105,7 @@ BENCHMARK(BM_GuideCompressedMinCost)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_GuideOneComponent(benchmark::State& state) {
@@ -108,6 +114,7 @@ void BM_GuideOneComponent(benchmark::State& state) {
 BENCHMARK(BM_GuideOneComponent)
     ->Arg(1)
     ->Arg(4)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_CompetitiveTrials(benchmark::State& state) {
@@ -147,6 +154,7 @@ BENCHMARK(BM_CompetitiveTrials)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -15,7 +15,8 @@
 //       threaded sessions + background refresh) with the PR 6 dedicated
 //       refresher thread vs the shared pool + analytical PoolSlice layout.
 //       Counters expose shard decision p99 alongside refresh wall time —
-//       the isolation story in both directions.
+//       the isolation story in both directions. Threaded, so it runs
+//       UseRealTime(): items_per_second counts windows per wall second.
 //
 // The clustered workload mirrors tests/core/guide_warm_refresh_test.cc: at
 // dense city scale the type-pair network is one giant component and warm
@@ -275,9 +276,11 @@ BENCHMARK(BM_Rotation)
 
 BENCHMARK_CAPTURE(BM_Interference, dedicated, 0)
     ->Arg(24)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Interference, shared_slice, 1)
     ->Arg(24)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

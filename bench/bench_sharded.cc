@@ -6,6 +6,11 @@
 // boundary, so matching size degrades as the shard count grows — and the
 // `reconciled` counter shows how much of that loss the post-merge
 // boundary-reconciliation pass wins back per router.
+//
+// Every sharded family may run its shard sessions on worker threads (auto
+// resolves to min(K, cores)), so they run UseRealTime(): items_per_second
+// is wall-clock decision throughput, not decisions per main-thread CPU
+// second.
 
 #include <benchmark/benchmark.h>
 
@@ -179,12 +184,15 @@ BENCHMARK_CAPTURE(BM_ShardedGrid, polar_op_16k, "polar-op", 16000)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ShardedGridPerEvent, polar_op_16k, "polar-op", 16000)
     ->Arg(4)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ShardedGridThreaded, polar_op_16k, "polar-op", 16000)
     ->Arg(4)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // Router sweep on the Table-4 displacement workload (supply mean 0.25 vs
@@ -192,18 +200,23 @@ BENCHMARK_CAPTURE(BM_ShardedGridThreaded, polar_op_16k, "polar-op", 16000)
 // boundary-reconciliation pass.
 BENCHMARK_CAPTURE(BM_ShardedHash, polar_op_16k, "polar-op", 16000)
     ->Arg(4)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ShardedLoad, polar_op_16k, "polar-op", 16000)
     ->Arg(4)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ShardedGridReconciled, polar_op_16k, "polar-op", 16000)
     ->Arg(4)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ShardedHashReconciled, polar_op_16k, "polar-op", 16000)
     ->Arg(4)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ShardedLoadReconciled, polar_op_16k, "polar-op", 16000)
     ->Arg(4)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_CAPTURE(BM_SingleSession, simple_greedy_4k, "simple-greedy", 4000)
@@ -211,6 +224,7 @@ BENCHMARK_CAPTURE(BM_SingleSession, simple_greedy_4k, "simple-greedy", 4000)
 BENCHMARK_CAPTURE(BM_ShardedGrid, simple_greedy_4k, "simple-greedy", 4000)
     ->Arg(1)
     ->Arg(4)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_CAPTURE(BM_SingleSession, gr_4k, "gr", 4000)
@@ -218,6 +232,7 @@ BENCHMARK_CAPTURE(BM_SingleSession, gr_4k, "gr", 4000)
 BENCHMARK_CAPTURE(BM_ShardedGrid, gr_4k, "gr", 4000)
     ->Arg(1)
     ->Arg(4)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "flow/dynamic_matching.h"
-#include "flow/hopcroft_karp.h"
 #include "retrieval/waiting_pool.h"
 
 namespace ftoa {
@@ -21,16 +19,28 @@ struct PendingArrival {
   int32_t id = -1;
 };
 
-/// Shared windowing skeleton of both GR modes. Arrivals are buffered in
-/// stream order; a window k (boundary = k * window) is processed once the
-/// caller proves no earlier arrival can follow — by feeding an arrival
-/// later than the boundary, calling AdvanceTo past it, or flushing. A
-/// window absorbs every buffered arrival with time <= its boundary, so the
-/// assignment is bit-identical to the batch replay that drained the whole
-/// stream window by window.
-class GrSessionBase : public AssignmentSessionBase {
+// One DynamicBipartiteMatcher carries the pool across window boundaries.
+// Key structural fact making this sound: GR commits every matched pair at
+// the boundary where it was matched, so the objects carried over are
+// exactly the exposed nodes of a maximum matching — which are pairwise
+// non-adjacent (an edge between two exposed nodes would have been a
+// length-1 augmenting path). Feasibility only tightens as the
+// boundary advances, so no edge between two carried-over objects can ever
+// (re)appear: every edge of a window's bipartite graph touches an object
+// that arrived in that window. Hence inserting the new arrivals' nodes and
+// edges and augmenting from the workers those edges touch reproduces a
+// maximum matching of the full window graph, at a per-window cost
+// proportional to the new arrivals' edges.
+//
+// Windowing: arrivals are buffered in stream order; a window k (boundary =
+// k * window) is processed once the caller proves no earlier arrival can
+// follow — by feeding an arrival later than the boundary, calling
+// AdvanceTo past it, or flushing. A window absorbs every buffered arrival
+// with time <= its boundary, so the assignment is bit-identical to the
+// batch replay that drained the whole stream window by window.
+class GrSession final : public AssignmentSessionBase {
  public:
-  GrSessionBase(const Instance& instance, const GrBatchOptions& options)
+  GrSession(const Instance& instance, const GrBatchOptions& options)
       : AssignmentSessionBase(instance),
         options_(options),
         window_(options.window > 0.0
@@ -41,7 +51,19 @@ class GrSessionBase : public AssignmentSessionBase {
                          (instance.spacetime().slots().horizon() +
                           instance.MaxTaskDuration()) /
                          window_)) +
-                     1) {}
+                     1),
+        radius_(instance.MaxTaskDuration() * instance.velocity()),
+        task_index_(instance.spacetime().grid(), &trace_.retrieval),
+        worker_index_(instance.spacetime().grid(), &trace_.retrieval),
+        worker_slot_(static_cast<size_t>(instance.num_workers()), -1),
+        task_slot_(static_cast<size_t>(instance.num_tasks()), -1) {
+    matcher_.ReserveNodes(static_cast<size_t>(instance.num_workers()),
+                          static_cast<size_t>(instance.num_tasks()));
+    // Edge volume is data dependent; seed the arena with a few candidates
+    // per object so steady-state growth is amortized away.
+    matcher_.ReserveEdges(4 * static_cast<size_t>(instance.num_workers() +
+                                                  instance.num_tasks()));
+  }
 
   void OnWorker(WorkerId worker, double time) override {
     CatchUpTo(time);
@@ -57,36 +79,16 @@ class GrSessionBase : public AssignmentSessionBase {
 
   void Flush() override {
     while (next_window_ <= num_windows_) ProcessWindow(next_window_++);
-    OnFlushed();
+    // Fold the matcher instrumentation into the trace (delta-based, so
+    // repeated Flush calls stay correct).
+    trace_.matcher_augment_searches +=
+        matcher_.augment_searches() - recorded_augment_searches_;
+    recorded_augment_searches_ = matcher_.augment_searches();
   }
-
- protected:
-  virtual void ProcessWindow(int k) = 0;
-  /// Post-flush hook (instrumentation fold-in); may run more than once.
-  virtual void OnFlushed() {}
-
-  /// Pops every buffered arrival with time <= `boundary`, in stream order.
-  template <typename WorkerFn, typename TaskFn>
-  void AbsorbUpTo(double boundary, WorkerFn&& on_worker, TaskFn&& on_task) {
-    while (!pending_.empty() && pending_.front().time <= boundary) {
-      const PendingArrival& arrival = pending_.front();
-      if (arrival.is_worker) {
-        on_worker(static_cast<WorkerId>(arrival.id));
-      } else {
-        on_task(static_cast<TaskId>(arrival.id));
-      }
-      pending_.pop_front();
-    }
-  }
-
-  double boundary_of(int k) const { return k * window_; }
-
-  GrBatchOptions options_;
-  double window_;
-  int num_windows_;
-  int next_window_ = 1;
 
  private:
+  double boundary_of(int k) const { return k * window_; }
+
   /// Processes every window whose boundary lies strictly before `time`: an
   /// arrival at exactly a boundary still belongs to that window, so the
   /// window stays open until a strictly later timestamp is seen.
@@ -97,50 +99,22 @@ class GrSessionBase : public AssignmentSessionBase {
     }
   }
 
-  std::deque<PendingArrival> pending_;
-};
-
-// Incremental mode: one DynamicBipartiteMatcher carries the pool across
-// window boundaries. Key structural fact making this sound: GR commits
-// every matched pair at the boundary where it was matched, so the objects
-// carried over are exactly the exposed nodes of a maximum matching — which
-// are pairwise non-adjacent (an edge between two exposed nodes would have
-// been a length-1 augmenting path). Feasibility only tightens as the
-// boundary advances, so no edge between two carried-over objects can ever
-// (re)appear: every edge of a window's bipartite graph touches an object
-// that arrived in that window. Hence inserting the new arrivals' nodes and
-// edges and augmenting from the workers those edges touch reproduces a
-// maximum matching of the full window graph, at a per-window cost
-// proportional to the new arrivals' edges.
-class GrIncrementalSession final : public GrSessionBase {
- public:
-  GrIncrementalSession(const Instance& instance,
-                       const GrBatchOptions& options)
-      : GrSessionBase(instance, options),
-        radius_(instance.MaxTaskDuration() * instance.velocity()),
-        task_index_(instance.spacetime().grid(), &trace_.retrieval),
-        worker_index_(instance.spacetime().grid(), &trace_.retrieval),
-        worker_slot_(static_cast<size_t>(instance.num_workers()), -1),
-        task_slot_(static_cast<size_t>(instance.num_tasks()), -1) {
-    matcher_.ReserveNodes(static_cast<size_t>(instance.num_workers()),
-                          static_cast<size_t>(instance.num_tasks()));
-    // Edge volume is data dependent; seed the arena with a few candidates
-    // per object so steady-state growth is amortized away.
-    matcher_.ReserveEdges(4 * static_cast<size_t>(instance.num_workers() +
-                                                  instance.num_tasks()));
-  }
-
- protected:
-  void ProcessWindow(int k) override {
+  void ProcessWindow(int k) {
     const double boundary = boundary_of(k);
     const double velocity = instance().velocity();
 
     // Absorb every arrival up to this boundary.
     new_workers_.clear();
     new_tasks_.clear();
-    AbsorbUpTo(
-        boundary, [&](WorkerId id) { new_workers_.push_back(id); },
-        [&](TaskId id) { new_tasks_.push_back(id); });
+    while (!pending_.empty() && pending_.front().time <= boundary) {
+      const PendingArrival& arrival = pending_.front();
+      if (arrival.is_worker) {
+        new_workers_.push_back(static_cast<WorkerId>(arrival.id));
+      } else {
+        new_tasks_.push_back(static_cast<TaskId>(arrival.id));
+      }
+      pending_.pop_front();
+    }
 
     // Evict expired carried-over objects.
     auto worker_dead = [&](WorkerId id) {
@@ -252,8 +226,8 @@ class GrIncrementalSession final : public GrSessionBase {
     // matching of the window graph. Augment in slot (= arrival) order:
     // sequential Kuhn never un-matches an earlier root, so ties between
     // equal-cardinality matchings break toward the longest-waiting
-    // workers — the same bias the rebuild mode gets from Hopcroft-Karp's
-    // pool-order processing. Without it, fresh workers win the tasks and
+    // workers — the same bias the rebuild-per-window oracle gets from
+    // Hopcroft-Karp's pool-order processing. Without it, fresh workers win the tasks and
     // the older ones expire unmatched, which measurably lowers the total
     // matched count over a full trace.
     std::sort(dirty_slots_.begin(), dirty_slots_.end());
@@ -297,16 +271,12 @@ class GrIncrementalSession final : public GrSessionBase {
     }
   }
 
-  void OnFlushed() override {
-    // Fold the matcher instrumentation into the trace (delta-based, so
-    // repeated Flush calls stay correct). No per-window reconstruction
-    // happened: matcher_rebuilds untouched.
-    trace_.matcher_augment_searches +=
-        matcher_.augment_searches() - recorded_augment_searches_;
-    recorded_augment_searches_ = matcher_.augment_searches();
-  }
+  GrBatchOptions options_;
+  double window_;
+  int num_windows_;
+  int next_window_ = 1;
+  std::deque<PendingArrival> pending_;
 
- private:
   double radius_;
   // Unmatched objects alive on the platform, carried across windows. Both
   // sides are spatially indexed: tasks for the new-worker edge queries,
@@ -329,146 +299,13 @@ class GrIncrementalSession final : public GrSessionBase {
   int64_t recorded_augment_searches_ = 0;
 };
 
-// Rebuild-per-window reference mode: the historical implementation, which
-// re-enumerates every pooled worker's candidates and constructs a fresh
-// Hopcroft-Karp instance at each window boundary. Kept for the
-// incremental-equivalence tests.
-class GrRebuildSession final : public GrSessionBase {
- public:
-  GrRebuildSession(const Instance& instance, const GrBatchOptions& options)
-      : GrSessionBase(instance, options),
-        max_dr_(instance.MaxTaskDuration()),
-        task_index_(instance.spacetime().grid(), &trace_.retrieval) {}
-
- protected:
-  void ProcessWindow(int k) override {
-    const double boundary = boundary_of(k);
-    const double velocity = instance().velocity();
-
-    // Absorb every arrival up to this boundary.
-    AbsorbUpTo(
-        boundary, [&](WorkerId id) { pool_workers_.push_back(id); },
-        [&](TaskId id) {
-          pool_tasks_.push_back(id);
-          const Task& r = instance().task(id);
-          task_index_.Insert(id, r.location, r.start, r.Deadline());
-        });
-
-    // Evict expired objects.
-    auto worker_dead = [&](WorkerId id) {
-      return instance().worker(id).Deadline() <= boundary;
-    };
-    auto task_dead = [&](TaskId id) {
-      // A task is hopeless once even a co-located worker departing now
-      // would miss its deadline.
-      return instance().task(id).Deadline() < boundary;
-    };
-    pool_workers_.erase(
-        std::remove_if(pool_workers_.begin(), pool_workers_.end(),
-                       worker_dead),
-        pool_workers_.end());
-    for (size_t i = 0; i < pool_tasks_.size();) {
-      if (task_dead(pool_tasks_[i])) {
-        task_index_.Erase(pool_tasks_[i]);
-        pool_tasks_[i] = pool_tasks_.back();
-        pool_tasks_.pop_back();
-      } else {
-        ++i;
-      }
-    }
-    if (pool_workers_.empty() || pool_tasks_.empty()) return;
-
-    // Build the batch bipartite graph. Workers depart at the boundary, so
-    // an edge requires boundary + d <= Sr + Dr and Sr < Sw + Dw.
-    std::unordered_map<int64_t, int32_t> task_slot;  // TaskId -> right index.
-    std::vector<TaskId> right_tasks;
-    // Hopcroft-Karp needs right-side cardinality up front; build edges
-    // first.
-    struct PendingEdge {
-      int32_t left;
-      TaskId task;
-    };
-    std::vector<PendingEdge> pending_edges;
-    pending_edges.reserve(4 * pool_workers_.size());
-    for (size_t wi = 0; wi < pool_workers_.size(); ++wi) {
-      const Worker& w = instance().worker(pool_workers_[wi]);
-      // Pool tasks arrived at or before the boundary, so the arrival
-      // condition boundary + d/v <= Sr + Dr implies d <= max_dr * v.
-      task_index_.ForEachInDisk(
-          w.location, max_dr_ * velocity, [&](int64_t task_id, double d) {
-            const Task& r = instance().task(static_cast<TaskId>(task_id));
-            if (!(r.start < w.Deadline())) return;
-            if (options_.policy ==
-                FeasibilityPolicy::kDispatchAtAssignmentTime) {
-              // The batch decision is made at the boundary; the worker
-              // departs then.
-              if (boundary + d / velocity > r.Deadline()) return;
-            } else if (!CanServe(w, r, velocity, options_.policy)) {
-              return;
-            }
-            pending_edges.push_back(
-                PendingEdge{static_cast<int32_t>(wi),
-                            static_cast<TaskId>(task_id)});
-          });
-    }
-    if (pending_edges.empty()) return;
-    for (const PendingEdge& edge : pending_edges) {
-      if (task_slot.find(edge.task) == task_slot.end()) {
-        task_slot[edge.task] = static_cast<int32_t>(right_tasks.size());
-        right_tasks.push_back(edge.task);
-      }
-    }
-    ++trace_.matcher_rebuilds;
-    HopcroftKarp hk(static_cast<int32_t>(pool_workers_.size()),
-                    static_cast<int32_t>(right_tasks.size()));
-    hk.ReserveEdges(pending_edges.size());
-    for (const PendingEdge& edge : pending_edges) {
-      hk.AddEdge(edge.left, task_slot[edge.task]);
-    }
-    hk.Solve();
-
-    // Commit the matched pairs and shrink the pools.
-    std::vector<WorkerId> next_workers;
-    next_workers.reserve(pool_workers_.size());
-    for (size_t wi = 0; wi < pool_workers_.size(); ++wi) {
-      const int32_t right = hk.MatchOfLeft(static_cast<int32_t>(wi));
-      if (right >= 0) {
-        const TaskId task = right_tasks[static_cast<size_t>(right)];
-        assignment_.Add(pool_workers_[wi], task, boundary);
-        task_index_.Erase(task);
-      } else {
-        next_workers.push_back(pool_workers_[wi]);
-      }
-    }
-    pool_workers_.swap(next_workers);
-    pool_tasks_.erase(
-        std::remove_if(pool_tasks_.begin(), pool_tasks_.end(),
-                       [&](TaskId id) {
-                         return assignment_.IsTaskMatched(id);
-                       }),
-        pool_tasks_.end());
-  }
-
- private:
-  double max_dr_;
-  // Unmatched objects alive on the platform, carried across windows. Tasks
-  // are indexed spatially so per-worker candidate enumeration in a batch is
-  // a disk query instead of a full cross product.
-  std::vector<WorkerId> pool_workers_;
-  std::vector<TaskId> pool_tasks_;
-  WaitingPool task_index_;
-};
-
 }  // namespace
 
 GrBatch::GrBatch(GrBatchOptions options) : options_(options) {}
 
 std::unique_ptr<AssignmentSession> GrBatch::StartSession(
     const Instance& instance) {
-  if (options_.incremental_matching) {
-    return std::make_unique<GrIncrementalSession>(instance, options_);
-  }
-  return std::make_unique<GrRebuildSession>(instance, options_);
+  return std::make_unique<GrSession>(instance, options_);
 }
 
 }  // namespace ftoa

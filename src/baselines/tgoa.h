@@ -8,8 +8,12 @@
 //
 // Implemented here as an *extension* baseline (the paper compares against
 // SimpleGreedy and GR only): it contextualizes the POLAR family against its
-// direct predecessor, including the predecessor's main practical weakness —
-// recomputing a maximum matching per arrival in the second phase.
+// direct predecessor. The product session carries one incremental matcher
+// across the whole run, so a second-phase arrival costs one augmenting-path
+// search instead of [26]'s from-scratch maximum matching per arrival. The
+// rebuild-per-arrival original is a test oracle
+// (tests/baselines/reference_tgoa.h); the equivalence suites pin that both
+// commit the same pairs.
 
 #ifndef FTOA_BASELINES_TGOA_H_
 #define FTOA_BASELINES_TGOA_H_
@@ -26,15 +30,6 @@ struct TgoaOptions {
   /// Pair feasibility; wait-in-place semantics by default, matching the
   /// model of [26] (workers do not relocate).
   FeasibilityPolicy policy = FeasibilityPolicy::kDispatchAtAssignmentTime;
-
-  /// Default: carry one incremental matcher across the whole run — each
-  /// second-phase arrival costs one augmenting-path search over the waiting
-  /// pool instead of a from-scratch Hopcroft-Karp per arrival (the [26]
-  /// weakness this baseline previously reproduced *too* faithfully).
-  /// Disable to get the historical rebuild-per-arrival reference, used by
-  /// the incremental-equivalence tests; RunTrace::matcher_rebuilds tells
-  /// the two apart.
-  bool incremental_matching = true;
 };
 
 /// The TGOA baseline.

@@ -46,12 +46,8 @@ struct RunTrace {
   int64_t ignored_workers = 0;
   int64_t ignored_tasks = 0;
 
-  /// Matching-engine instrumentation for the batched baselines (TGOA, GR):
-  /// how many times a matcher was (re)built from scratch. The incremental
-  /// carry-across-batches mode keeps this at 0; the rebuild-per-batch
-  /// reference mode increments it once per batch/trial.
-  int64_t matcher_rebuilds = 0;
-  /// Augmenting-path searches run by the incremental matcher.
+  /// Matching-engine instrumentation for the matcher-carrying baselines
+  /// (TGOA, GR): augmenting-path searches run by the incremental matcher.
   int64_t matcher_augment_searches = 0;
 
   /// Candidate-retrieval instrumentation, populated by every session that

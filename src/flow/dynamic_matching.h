@@ -1,6 +1,7 @@
 // Fully dynamic maximum bipartite matching for incremental per-batch
-// matching (the enabling structure behind the TGOA and GR baselines'
-// carry-across-batches mode).
+// matching: the one matcher the TGOA and GR sessions carry across arrivals
+// and windows. Their rebuild-per-batch originals, which run Hopcroft-Karp
+// from scratch instead, are test oracles (tests/baselines/).
 //
 // Nodes are appended with AddLeft()/AddRight() and edges with AddEdge();
 // edges live in a flat append-only arena threaded through per-node

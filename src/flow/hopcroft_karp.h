@@ -1,6 +1,7 @@
 // Hopcroft-Karp maximum-cardinality bipartite matching, O(E * sqrt(V)).
-// Used by offline OPT (the paper's OPT curve) and by the rebuild-per-batch
-// reference mode of the GR baseline's window matching.
+// Used by offline OPT (the paper's OPT curve). The rebuild-per-batch TGOA
+// and GR test oracles (tests/baselines/reference_{tgoa,gr}.h) also solve
+// one from scratch per arrival or window.
 //
 // Reusable: `Reset()` rewinds the instance while keeping every buffer
 // allocation, and Solve() warm-starts from whatever matching is already

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/reference_gr.h"
 #include "baselines/simple_greedy.h"
 #include "gen/synthetic.h"
 #include "test_util.h"
@@ -10,6 +11,7 @@ namespace ftoa {
 namespace {
 
 using ftoa::testing::MakeExample1Instance;
+using ftoa::testing::ReferenceGr;
 
 TEST(GrBatchTest, MatchesWithinWindows) {
   // One worker and one task in the same window, co-located.
@@ -103,21 +105,18 @@ TEST(GrBatchTest, TasksCarryAcrossWindows) {
 TEST(GrBatchTest, IncrementalMatchesRebuildOnExample1) {
   const Instance instance = MakeExample1Instance();
   GrBatch incremental(GrBatchOptions{});
-  GrBatch rebuild(GrBatchOptions{.incremental_matching = false});
-  RunTrace inc_trace;
-  RunTrace reb_trace;
-  const Assignment a = incremental.Run(instance, &inc_trace);
-  const Assignment b = rebuild.Run(instance, &reb_trace);
+  ReferenceGr rebuild(GrBatchOptions{});
+  const Assignment a = incremental.Run(instance);
+  const Assignment b = rebuild.Run(instance);
   EXPECT_EQ(a.size(), b.size());
-  EXPECT_EQ(inc_trace.matcher_rebuilds, 0);
 }
 
 TEST(GrBatchTest, IncrementalMatchesRebuildOnRandomWorkloads) {
   // Carrying the matcher across windows (inserting only the new arrivals'
   // nodes/edges and re-augmenting for them) must deliver the same total
-  // utility as rebuilding a Hopcroft-Karp instance per window, while never
-  // reconstructing the matcher (matcher_rebuilds == 0 vs one per matched
-  // window).
+  // utility as the oracle that rebuilds a Hopcroft-Karp instance per
+  // window. The two may commit different maximum matchings, so only the
+  // counts are compared.
   SyntheticConfig config;
   config.num_workers = 300;
   config.num_tasks = 300;
@@ -129,14 +128,13 @@ TEST(GrBatchTest, IncrementalMatchesRebuildOnRandomWorkloads) {
     const auto instance = GenerateSyntheticInstance(config);
     ASSERT_TRUE(instance.ok());
     GrBatch incremental(GrBatchOptions{});
-    GrBatch rebuild(GrBatchOptions{.incremental_matching = false});
+    ReferenceGr rebuild(GrBatchOptions{});
     RunTrace inc_trace;
-    RunTrace reb_trace;
     const Assignment a = incremental.Run(*instance, &inc_trace);
-    const Assignment b = rebuild.Run(*instance, &reb_trace);
+    const Assignment b = rebuild.Run(*instance);
     EXPECT_EQ(a.size(), b.size()) << "seed " << seed;
-    EXPECT_EQ(inc_trace.matcher_rebuilds, 0) << "seed " << seed;
-    EXPECT_GT(reb_trace.matcher_rebuilds, 0) << "seed " << seed;
+    EXPECT_GT(inc_trace.matcher_augment_searches, 0) << "seed " << seed;
+    EXPECT_GT(rebuild.rebuilds(), 0) << "seed " << seed;
     // Every committed pair must satisfy the boundary-departure rule in
     // both modes (mirrors AssignmentsFeasibleFromBoundary).
     for (const MatchedPair& pair : a.pairs()) {

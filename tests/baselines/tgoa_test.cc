@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "baselines/offline_opt.h"
+#include "baselines/reference_tgoa.h"
 #include "baselines/simple_greedy.h"
 #include "gen/synthetic.h"
 #include "test_util.h"
@@ -10,7 +13,14 @@
 namespace ftoa {
 namespace {
 
+using ftoa::testing::AllArrivalPatterns;
+using ftoa::testing::ArrivalPattern;
+using ftoa::testing::ArrivalPatternName;
+using ftoa::testing::ExpectIdenticalDecisions;
+using ftoa::testing::FuzzUniverse;
 using ftoa::testing::MakeExample1Instance;
+using ftoa::testing::MakeFuzzUniverse;
+using ftoa::testing::ReferenceTgoa;
 
 TEST(TgoaTest, ServesColocatedPair) {
   const SpacetimeSpec st(SlotSpec(10.0, 1), GridSpec(10.0, 10.0, 5, 5));
@@ -74,23 +84,36 @@ TEST(TgoaTest, BoundedByOptOnRandomWorkloads) {
   }
 }
 
+/// Runs the product TGOA and the rebuild-per-arrival oracle on `instance`
+/// and asserts the same decisions, pair by pair. Returns the oracle's
+/// rebuild count so callers can assert the comparison was not vacuous.
+int64_t ExpectSameDecisionsAsOracle(const Instance& instance,
+                                    const TgoaOptions& options,
+                                    const std::string& label) {
+  Tgoa product(options);
+  ReferenceTgoa oracle(options);
+  RunTrace product_trace;
+  RunTrace oracle_trace;
+  const Assignment a = product.Run(instance, &product_trace);
+  const Assignment b = oracle.Run(instance, &oracle_trace);
+  ExpectIdenticalDecisions(a, product_trace, b, oracle_trace, label);
+  return oracle.rebuilds();
+}
+
 TEST(TgoaTest, IncrementalMatchesRebuildOnExample1) {
+  // Under the default half-greedy split (and even a quarter) no
+  // optimal-phase arrival of Example 1 has a feasible partner, so the
+  // oracle would never build a matcher and the comparison would prove
+  // nothing. With no greedy phase every arrival consults the matcher.
   const Instance instance = MakeExample1Instance();
-  Tgoa incremental(TgoaOptions{});
-  Tgoa rebuild(TgoaOptions{.incremental_matching = false});
-  RunTrace inc_trace;
-  RunTrace reb_trace;
-  const Assignment a = incremental.Run(instance, &inc_trace);
-  const Assignment b = rebuild.Run(instance, &reb_trace);
-  EXPECT_EQ(a.size(), b.size());
-  // The incremental mode must not have reconstructed a matcher.
-  EXPECT_EQ(inc_trace.matcher_rebuilds, 0);
+  EXPECT_GT(ExpectSameDecisionsAsOracle(
+                instance, TgoaOptions{.greedy_fraction = 0.0}, "all-optimal"),
+            0);
 }
 
 TEST(TgoaTest, IncrementalMatchesRebuildOnRandomWorkloads) {
-  // The carry-across-arrivals matcher must deliver the same total utility
-  // as the historical rebuild-per-arrival trial on deterministic
-  // instances, without ever rebuilding (matcher_rebuilds == 0 vs > 0).
+  // The carry-across-arrivals matcher must commit exactly the pairs of
+  // the historical rebuild-per-arrival trial on deterministic instances.
   SyntheticConfig config;
   config.num_workers = 250;
   config.num_tasks = 250;
@@ -101,20 +124,35 @@ TEST(TgoaTest, IncrementalMatchesRebuildOnRandomWorkloads) {
     config.seed = seed;
     const auto instance = GenerateSyntheticInstance(config);
     ASSERT_TRUE(instance.ok());
-    Tgoa incremental(TgoaOptions{});
-    Tgoa rebuild(TgoaOptions{.incremental_matching = false});
-    RunTrace inc_trace;
-    RunTrace reb_trace;
-    const Assignment a = incremental.Run(*instance, &inc_trace);
-    const Assignment b = rebuild.Run(*instance, &reb_trace);
-    EXPECT_EQ(a.size(), b.size()) << "seed " << seed;
+    const std::string label = "seed " + std::to_string(seed);
+    EXPECT_GT(ExpectSameDecisionsAsOracle(*instance, TgoaOptions{}, label),
+              0)
+        << label;
+    Tgoa tgoa;
+    RunTrace trace;
+    const Assignment a = tgoa.Run(*instance, &trace);
     EXPECT_TRUE(a.Validate(*instance,
                            FeasibilityPolicy::kDispatchAtAssignmentTime)
                     .ok())
-        << "seed " << seed;
-    EXPECT_EQ(inc_trace.matcher_rebuilds, 0) << "seed " << seed;
-    EXPECT_GT(inc_trace.matcher_augment_searches, 0) << "seed " << seed;
-    EXPECT_GT(reb_trace.matcher_rebuilds, 0) << "seed " << seed;
+        << label;
+    EXPECT_GT(trace.matcher_augment_searches, 0) << label;
+  }
+}
+
+TEST(TgoaTest, IncrementalMatchesRebuildOnFuzzUniverses) {
+  // The adversarial arrival orders: one side first, strict alternation,
+  // identical timestamps, ids uncorrelated with arrival order.
+  for (const ArrivalPattern pattern : AllArrivalPatterns()) {
+    for (const uint64_t seed : {1u, 2u, 3u}) {
+      const FuzzUniverse universe = MakeFuzzUniverse(seed, pattern);
+      const std::string label = std::string(ArrivalPatternName(pattern)) +
+                                " seed " + std::to_string(seed);
+      EXPECT_GT(ExpectSameDecisionsAsOracle(universe.instance,
+                                            universe.deps.tgoa_options,
+                                            label),
+                0)
+          << label;
+    }
   }
 }
 

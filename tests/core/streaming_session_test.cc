@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "baselines/reference_gr.h"
+#include "baselines/reference_tgoa.h"
 #include "core/algorithm_registry.h"
 #include "core/guide_generator.h"
 #include "core/prediction_matrix.h"
@@ -26,6 +28,8 @@ using ::ftoa::testing::ArrivalPattern;
 using ::ftoa::testing::ArrivalPatternName;
 using ::ftoa::testing::ExpectIdenticalRun;
 using ::ftoa::testing::MakeFuzzUniverse;
+using ::ftoa::testing::ReferenceGr;
+using ::ftoa::testing::ReferenceTgoa;
 
 SyntheticConfig SmallConfig(uint64_t seed) {
   SyntheticConfig config;
@@ -214,24 +218,22 @@ TEST(SessionEquivalenceTest, ParameterListCoversTheWholeRegistry) {
 }
 
 TEST(SessionEquivalenceTest, RebuildModesStreamIdentically) {
-  // The reference (non-incremental) modes of TGOA and GR go through the
-  // same session machinery; cover them too.
+  // The rebuild-per-batch oracles of TGOA and GR (tests/baselines/) go
+  // through the same session machinery; cover them too.
   const Universe universe = MakeUniverse(47);
-  AlgorithmDeps deps = universe.deps;
-  deps.tgoa_options.incremental_matching = false;
-  deps.gr_options.incremental_matching = false;
-  for (const char* name : {"tgoa", "gr"}) {
-    auto algorithm = CreateAlgorithm(name, deps);
-    ASSERT_TRUE(algorithm.ok());
+  ReferenceTgoa tgoa(universe.deps.tgoa_options);
+  ReferenceGr gr(universe.deps.gr_options);
+  for (OnlineAlgorithm* algorithm :
+       std::vector<OnlineAlgorithm*>{&tgoa, &gr}) {
     RunTrace batch_trace;
-    const Assignment batch =
-        (*algorithm)->Run(universe.instance, &batch_trace);
-    EXPECT_GT(batch_trace.matcher_rebuilds, 0) << name;
+    const Assignment batch = algorithm->Run(universe.instance, &batch_trace);
     const SessionResult streamed =
-        DriveByHand(algorithm->get(), universe.instance, /*advance=*/true);
+        DriveByHand(algorithm, universe.instance, /*advance=*/true);
     ExpectIdenticalRun(batch, batch_trace, streamed.assignment, streamed.trace,
-                    std::string(name) + " rebuild mode");
+                       algorithm->name() + " rebuild oracle");
   }
+  EXPECT_GT(tgoa.rebuilds(), 0);
+  EXPECT_GT(gr.rebuilds(), 0);
 }
 
 TEST(AlgorithmRegistryTest, RoundTripsEveryName) {

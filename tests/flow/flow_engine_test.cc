@@ -1,9 +1,10 @@
 // FlowEngine registry + engine equivalence suites.
 //
 // Contract pinned here (see docs/flow_engines.md):
-//  * every engine returns the same (flow, cost) Outcome as the SolveSpfa
-//    oracle on the same instance — per-edge flow patterns may differ
-//    between equally cheap solutions, the (flow, cost) pair pins them;
+//  * every engine returns the same (flow, cost) Outcome as the SPFA
+//    oracle (tests/flow/reference_min_cost_flow.h) on the same instance —
+//    per-edge flow patterns may differ between equally cheap solutions,
+//    the (flow, cost) pair pins them;
 //  * per engine, the solved per-edge flows are bit-identical at any thread
 //    count (SetParallelism only shards order-insensitive scans);
 //  * kAuto is a pure function of the instance shape;
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "flow/min_cost_flow.h"
+#include "flow/reference_min_cost_flow.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -121,7 +123,7 @@ TEST(FlowEngineRegistryTest, ComputeShapeMeasuresTheResidualNetwork) {
 }
 
 // ---------------------------------------------------------------------------
-// Oracle equivalence: every engine vs SolveSpfa.
+// Oracle equivalence: every engine vs the SPFA oracle.
 
 using EdgeSpec = std::vector<std::array<int64_t, 4>>;  // u, v, cap, cost
 
@@ -135,10 +137,20 @@ MinCostFlowGraph BuildGraph(int32_t n, const EdgeSpec& edges) {
   return g;
 }
 
+/// The SPFA oracle's outcome on the same network.
+MinCostFlowGraph::Outcome SolveReference(int32_t n, const EdgeSpec& edges,
+                                         int32_t s, int32_t t) {
+  testing::ReferenceMinCostFlow oracle(n);
+  for (const auto& e : edges) {
+    oracle.AddEdge(static_cast<int32_t>(e[0]), static_cast<int32_t>(e[1]),
+                   e[2], e[3]);
+  }
+  return oracle.Solve(s, t);
+}
+
 void ExpectAllEnginesMatchOracle(int32_t n, const EdgeSpec& edges, int32_t s,
                                  int32_t t) {
-  MinCostFlowGraph oracle = BuildGraph(n, edges);
-  const auto expected = oracle.SolveSpfa(s, t);
+  const auto expected = SolveReference(n, edges, s, t);
   for (const FlowEngine engine : kConcreteEngines) {
     MinCostFlowGraph g = BuildGraph(n, edges);
     const auto outcome = g.Solve(s, t, engine);
@@ -279,8 +291,7 @@ TEST_P(EngineWarmStartStressTest, PushFlowThenSolveReachesTheOptimum) {
     }
   }
 
-  MinCostFlowGraph oracle = BuildGraph(sink + 1, edges);
-  const auto expected = oracle.SolveSpfa(source, sink);
+  const auto expected = SolveReference(sink + 1, edges, source, sink);
 
   for (const FlowEngine engine : kConcreteEngines) {
     MinCostFlowGraph g = BuildGraph(sink + 1, edges);
@@ -322,8 +333,7 @@ TEST_P(EngineWarmStartStressTest, AddEdgeThenResumeReachesTheOptimum) {
   }
   EdgeSpec all = first;
   all.insert(all.end(), second.begin(), second.end());
-  MinCostFlowGraph oracle = BuildGraph(n, all);
-  const auto expected = oracle.SolveSpfa(0, n - 1);
+  const auto expected = SolveReference(n, all, 0, n - 1);
 
   for (const FlowEngine engine : kConcreteEngines) {
     MinCostFlowGraph g = BuildGraph(n, first);
@@ -443,8 +453,7 @@ TEST(EngineBehaviorTest, CostScalingOverflowGuardFallsBackToBlocking) {
   const int64_t huge = kInf / 8;
   EdgeSpec edges = {{0, 1, 2, huge}, {1, 3, 1, huge / 2}, {0, 2, 1, 3},
                     {2, 3, 2, huge / 3}, {1, 2, 1, 0}};
-  MinCostFlowGraph oracle = BuildGraph(4, edges);
-  const auto expected = oracle.SolveSpfa(0, 3);
+  const auto expected = SolveReference(4, edges, 0, 3);
   MinCostFlowGraph g = BuildGraph(4, edges);
   EXPECT_EQ(g.cost_scaling_fallbacks(), 0);
   const auto outcome = g.Solve(0, 3, FlowEngine::kCostScaling);
@@ -464,12 +473,12 @@ TEST(SaturatingArithmeticTest, SpfaSaturatesInsteadOfWrapping) {
   // reports as unreachable — the cheap direct path is all it routes.
   const int64_t max64 = std::numeric_limits<int64_t>::max();
   const int64_t big = max64 - max64 / 10;  // ~0.9 * int64_max, legal input.
-  MinCostFlowGraph g(4);
+  testing::ReferenceMinCostFlow g(4);
   g.AddEdge(0, 1, 1, kInf - kInf / 10);
   g.AddEdge(1, 2, 1, big);
   g.AddEdge(2, 3, 1, 0);
   g.AddEdge(0, 3, 1, 7);
-  const auto outcome = g.SolveSpfa(0, 3);
+  const auto outcome = g.Solve(0, 3);
   EXPECT_EQ(outcome.flow, 1);
   EXPECT_EQ(outcome.cost, 7);
 }
@@ -517,8 +526,7 @@ TEST(SaturatingArithmeticTest, WarmStartRepairSurvivesNearLimitCosts) {
   const int64_t big = kInf / 8;
   EdgeSpec edges = {
       {0, 1, 1, big}, {1, 3, 1, big}, {0, 2, 1, 5}, {2, 3, 1, 5}};
-  MinCostFlowGraph oracle = BuildGraph(4, edges);
-  const auto expected = oracle.SolveSpfa(0, 3);
+  const auto expected = SolveReference(4, edges, 0, 3);
   MinCostFlowGraph g = BuildGraph(4, edges);
   g.PushFlow(0, 1);  // s -> 1 (the big chain).
   g.PushFlow(2, 1);  // 1 -> t.

@@ -6,6 +6,7 @@
 
 #include "flow/dinic.h"
 #include "flow/graph.h"
+#include "flow/reference_min_cost_flow.h"
 #include "util/rng.h"
 
 namespace ftoa {
@@ -147,24 +148,6 @@ TEST(MinCostFlowTest, WarmStartFromInjectedFlow) {
   }
 }
 
-TEST(MinCostFlowTest, SolveAfterSpfaRepairsPotentials) {
-  // A SolveSpfa run leaves no potentials behind; a subsequent Dijkstra
-  // Solve on the grown graph must still deliver the exact min-cost max
-  // flow (here via cycle cancellation: the appended route undercuts the
-  // one SPFA used).
-  MinCostFlowGraph g(5);
-  g.AddEdge(0, 1, 2, 3);
-  g.AddEdge(1, 4, 1, 3);
-  const auto spfa = g.SolveSpfa(0, 4);
-  EXPECT_EQ(spfa.flow, 1);
-  g.AddEdge(1, 2, 1, 0);
-  g.AddEdge(2, 4, 1, 1);
-  const auto rest = g.Solve(0, 4);
-  EXPECT_EQ(rest.flow, 1);
-  // Optimal routing of both units: 2x(0->1), then 1->2->4 and 1->4.
-  EXPECT_EQ(g.TotalRoutedCost(), 3 + 3 + 0 + 1 + 3);
-}
-
 TEST(MinCostFlowTest, AddNodeGrowsGraph) {
   MinCostFlowGraph g(2);
   g.AddEdge(0, 1, 1, 1);
@@ -204,8 +187,8 @@ TEST_P(McmfPropertyTest, FlowValueMatchesDinic) {
 INSTANTIATE_TEST_SUITE_P(Seeds, McmfPropertyTest,
                          ::testing::Range<uint64_t>(1, 16));
 
-// Property: the Dijkstra-with-potentials solver and the SPFA reference
-// oracle agree on both flow value and total cost, on random sparse digraphs
+// Property: the Dijkstra-with-potentials solver and the SPFA oracle
+// (tests/flow/reference_min_cost_flow.h) agree on both flow value and total cost, on random sparse digraphs
 // and on random bipartite assignment networks.
 class DijkstraVsSpfaTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -213,7 +196,7 @@ TEST_P(DijkstraVsSpfaTest, RandomDigraphMatchesOracle) {
   Rng rng(GetParam() * 7919 + 13);
   const int n = 6 + static_cast<int>(rng.NextBounded(10));
   MinCostFlowGraph dijkstra(n);
-  MinCostFlowGraph spfa(n);
+  testing::ReferenceMinCostFlow spfa(n);
   for (int u = 0; u < n; ++u) {
     for (int v = 0; v < n; ++v) {
       if (u != v && rng.NextBool(0.35)) {
@@ -225,7 +208,7 @@ TEST_P(DijkstraVsSpfaTest, RandomDigraphMatchesOracle) {
     }
   }
   const auto fast = dijkstra.Solve(0, n - 1);
-  const auto oracle = spfa.SolveSpfa(0, n - 1);
+  const auto oracle = spfa.Solve(0, n - 1);
   EXPECT_EQ(fast.flow, oracle.flow);
   EXPECT_EQ(fast.cost, oracle.cost);
   // Per-edge flows may differ between equally cheap solutions, but both
@@ -238,7 +221,7 @@ TEST_P(DijkstraVsSpfaTest, RandomBipartiteMatchesOracle) {
   const int32_t source = 0;
   const int32_t sink = 1 + 2 * side;
   MinCostFlowGraph dijkstra(sink + 1);
-  MinCostFlowGraph spfa(sink + 1);
+  testing::ReferenceMinCostFlow spfa(sink + 1);
   auto both = [&](int32_t u, int32_t v, int64_t cap, int64_t cost) {
     dijkstra.AddEdge(u, v, cap, cost);
     spfa.AddEdge(u, v, cap, cost);
@@ -254,7 +237,7 @@ TEST_P(DijkstraVsSpfaTest, RandomBipartiteMatchesOracle) {
     }
   }
   const auto fast = dijkstra.Solve(source, sink);
-  const auto oracle = spfa.SolveSpfa(source, sink);
+  const auto oracle = spfa.Solve(source, sink);
   EXPECT_EQ(fast.flow, oracle.flow);
   EXPECT_EQ(fast.cost, oracle.cost);
 }

@@ -4,7 +4,8 @@
 // engine, so the flag must leave its run untouched. Every algorithm that
 // scans candidates spatially must produce a bit-identical run (assignment,
 // dispatches, matcher counters) under either setting, across the
-// adversarial arrival patterns and under sharding. The *Stress* suite
+// adversarial arrival patterns and under sharding, and TGOA's must make the
+// decisions of its rebuild-per-arrival oracle. The *Stress* suite
 // widens the sweep under `ctest -L stress`.
 
 #include "retrieval/mode.h"
@@ -14,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/reference_tgoa.h"
 #include "core/algorithm_registry.h"
 #include "sim/sharded_dispatcher.h"
 #include "test_util.h"
@@ -24,9 +26,11 @@ namespace {
 using ftoa::testing::AllArrivalPatterns;
 using ftoa::testing::ArrivalPattern;
 using ftoa::testing::ArrivalPatternName;
+using ftoa::testing::ExpectIdenticalDecisions;
 using ftoa::testing::ExpectIdenticalRun;
 using ftoa::testing::FuzzUniverse;
 using ftoa::testing::MakeFuzzUniverse;
+using ftoa::testing::ReferenceTgoa;
 using ftoa::testing::StressIterations;
 
 /// The per-arrival algorithms whose candidate scans the engine backs.
@@ -141,15 +145,28 @@ INSTANTIATE_TEST_SUITE_P(PortedAlgorithms, RetrievalEquivalenceTest,
                          ::testing::ValuesIn(kPortedAlgorithms));
 
 TEST(RetrievalModeTest, TgoaRebuildModeIsAlsoBitIdentical) {
-  // The rebuild-per-arrival trial enumerates its waiting sets through the
-  // pool too; the mode must not reach it either.
+  // The rebuild-per-arrival oracle (tests/baselines/reference_tgoa.h)
+  // takes no retrieval setting; TGOA's run under either mode must still
+  // make exactly its decisions.
   for (const uint64_t seed : {5u, 6u}) {
-    FuzzUniverse universe =
+    const FuzzUniverse universe =
         MakeFuzzUniverse(seed, ArrivalPattern::kBursty);
-    universe.deps.tgoa_options.incremental_matching = false;
-    ExpectEngineMatchesLinear(
-        "tgoa", universe.deps, universe.instance,
-        "tgoa-rebuild seed " + std::to_string(seed));
+    ReferenceTgoa oracle(universe.deps.tgoa_options);
+    RunTrace oracle_trace;
+    const Assignment expected = oracle.Run(universe.instance, &oracle_trace);
+    EXPECT_GT(oracle.rebuilds(), 0) << "seed " << seed;
+    for (const RetrievalMode mode :
+         {RetrievalMode::kLinear, RetrievalMode::kEngine}) {
+      AlgorithmDeps deps = universe.deps;
+      deps.retrieval = mode;
+      auto tgoa = CreateAlgorithm("tgoa", deps);
+      ASSERT_TRUE(tgoa.ok()) << tgoa.status().ToString();
+      RunTrace trace;
+      const Assignment actual = (*tgoa)->Run(universe.instance, &trace);
+      ExpectIdenticalDecisions(expected, oracle_trace, actual, trace,
+                               "tgoa-rebuild " + RetrievalModeName(mode) +
+                                   " seed " + std::to_string(seed));
+    }
   }
 }
 

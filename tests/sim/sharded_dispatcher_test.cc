@@ -2,10 +2,10 @@
 // (sim/sharded_dispatcher): merged-assignment validity invariants across
 // randomized instances x shard counts x every registry algorithm, 1-shard
 // bit-identity with the unsharded session path, thread-count invariance
-// under concurrent shard execution, the matcher_rebuilds regression on the
-// incremental matching path, router unit properties, and the documented
-// RunMetrics merge semantics. The *Stress* suites honor FTOA_STRESS_ITERS
-// (tools/run_stress.sh) for a higher iteration count.
+// under concurrent shard execution, the TGOA/GR incremental matchers
+// against their rebuild oracles under sharding, router unit properties,
+// and the documented RunMetrics merge semantics. The *Stress* suites honor
+// FTOA_STRESS_ITERS (tools/run_stress.sh) for a higher iteration count.
 
 #include "sim/sharded_dispatcher.h"
 
@@ -17,6 +17,10 @@
 #include <string>
 #include <vector>
 
+#include "baselines/gr_batch.h"
+#include "baselines/reference_gr.h"
+#include "baselines/reference_tgoa.h"
+#include "baselines/tgoa.h"
 #include "core/algorithm_registry.h"
 #include "model/arrival_stream.h"
 #include "sim/runner.h"
@@ -29,9 +33,12 @@ namespace {
 using ::ftoa::testing::AllArrivalPatterns;
 using ::ftoa::testing::ArrivalPattern;
 using ::ftoa::testing::ArrivalPatternName;
+using ::ftoa::testing::ExpectIdenticalDecisions;
 using ::ftoa::testing::ExpectIdenticalRun;
 using ::ftoa::testing::FuzzUniverse;
 using ::ftoa::testing::MakeFuzzUniverse;
+using ::ftoa::testing::ReferenceGr;
+using ::ftoa::testing::ReferenceTgoa;
 using ::ftoa::testing::StressIterations;
 
 using Universe = FuzzUniverse;
@@ -241,55 +248,69 @@ TEST(ShardedDispatcherSuiteTest, ParameterListCoversTheWholeRegistry) {
                                       "polar-op", "polar-op-g", "opt"}));
 }
 
-TEST(ShardedDispatcherSuiteTest, MatcherRebuildsStayZeroOnIncrementalPath) {
-  // Regression: the per-shard TGOA/GR sessions must keep carrying one
-  // incremental matcher each — a nonzero rebuild count would mean sharding
-  // silently fell back to rebuild-per-batch.
-  const Universe universe = MakeFuzzUniverse(47, ArrivalPattern::kBursty);
-  for (const char* name : {"tgoa", "gr"}) {
-    for (const int num_shards : {1, 4}) {
-      ShardedOptions options;
-      options.algorithm = name;
-      options.num_shards = num_shards;
-      options.num_threads = num_shards;
-      auto dispatcher = ShardedDispatcher::Create(options, universe.deps);
-      ASSERT_TRUE(dispatcher.ok());
-      auto result = (*dispatcher)->Run(universe.instance);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      EXPECT_EQ(result->trace.matcher_rebuilds, 0)
-          << name << " shards=" << num_shards;
-      // TGOA's sample-and-price threshold derives from the *full* universe
-      // size, so a shard seeing only a fraction of arrivals can stay in
-      // its greedy phase and never engage the matcher (documented in
-      // docs/sharded_dispatch.md) — require engagement only where it is
-      // guaranteed: GR's windows always fire, and unsharded TGOA reaches
-      // its second phase.
-      const bool matcher_must_engage =
-          std::string(name) == "gr" || num_shards == 1;
-      if (matcher_must_engage) {
-        EXPECT_GT(result->trace.matcher_augment_searches, 0)
-            << name << " shards=" << num_shards;
+TEST(ShardedDispatcherSuiteTest, IncrementalPathsMatchTheRebuildOracles) {
+  // Sharded TGOA must make exactly the decisions of its sharded
+  // rebuild-per-arrival oracle (tests/baselines/reference_tgoa.h) at every
+  // shard count, inline and threaded. TGOA's sample-and-price threshold
+  // derives from the *full* universe size, so a shard seeing a fraction of
+  // the arrivals can stay in its greedy phase and never consult a matcher
+  // (docs/sharded_dispatch.md); a short greedy phase makes every shard
+  // reach the optimal phase, so each comparison is non-vacuous.
+  const TgoaOptions tgoa_options{.greedy_fraction = 0.1};
+  for (const ArrivalPattern pattern :
+       {ArrivalPattern::kBursty, ArrivalPattern::kShuffledIds}) {
+    const Universe universe = MakeFuzzUniverse(47, pattern);
+    for (const int num_shards : {1, 2, 4}) {
+      for (const int num_threads : {1, num_shards}) {
+        ShardedOptions options;
+        options.num_shards = num_shards;
+        options.num_threads = num_threads;
+        Tgoa product(tgoa_options);
+        ReferenceTgoa oracle(tgoa_options);
+        auto product_result =
+            ShardedDispatcher(&product, options).Run(universe.instance);
+        auto oracle_result =
+            ShardedDispatcher(&oracle, options).Run(universe.instance);
+        ASSERT_TRUE(product_result.ok())
+            << product_result.status().ToString();
+        ASSERT_TRUE(oracle_result.ok()) << oracle_result.status().ToString();
+        const std::string label = std::string("tgoa ") +
+                                  ArrivalPatternName(pattern) +
+                                  " shards=" + std::to_string(num_shards) +
+                                  " threads=" + std::to_string(num_threads);
+        ExpectIdenticalDecisions(
+            product_result->assignment, product_result->trace,
+            oracle_result->assignment, oracle_result->trace, label);
+        EXPECT_GT(oracle.rebuilds(), 0) << label;
+        EXPECT_GT(product_result->trace.matcher_augment_searches, 0)
+            << label;
       }
-
-      // The rebuild reference mode, sharded, must still report rebuilds.
-      AlgorithmDeps rebuild_deps = universe.deps;
-      rebuild_deps.tgoa_options.incremental_matching = false;
-      rebuild_deps.gr_options.incremental_matching = false;
-      auto rebuild =
-          ShardedDispatcher::Create(options, rebuild_deps);
-      ASSERT_TRUE(rebuild.ok());
-      auto rebuild_result = (*rebuild)->Run(universe.instance);
-      ASSERT_TRUE(rebuild_result.ok());
-      if (matcher_must_engage) {
-        EXPECT_GT(rebuild_result->trace.matcher_rebuilds, 0)
-            << name << " shards=" << num_shards;
-      }
-      // Both modes produce per-shard-identical utility (the incremental
-      // matcher preserves the rebuild mode's arrival-order augmentation).
-      EXPECT_EQ(rebuild_result->assignment.size(),
-                result->assignment.size())
-          << name << " shards=" << num_shards;
     }
+  }
+
+  // Sharded GR commits as many pairs as its sharded rebuild-per-window
+  // oracle (tests/baselines/reference_gr.h): the incremental matcher keeps
+  // the oracle's arrival-order augmentation bias per shard. Pairs may
+  // differ (another maximum matching), so only counts are compared.
+  const Universe universe = MakeFuzzUniverse(47, ArrivalPattern::kBursty);
+  for (const int num_shards : {1, 4}) {
+    ShardedOptions options;
+    options.num_shards = num_shards;
+    options.num_threads = num_shards;
+    GrBatch product(universe.deps.gr_options);
+    ReferenceGr oracle(universe.deps.gr_options);
+    auto product_result =
+        ShardedDispatcher(&product, options).Run(universe.instance);
+    auto oracle_result =
+        ShardedDispatcher(&oracle, options).Run(universe.instance);
+    ASSERT_TRUE(product_result.ok()) << product_result.status().ToString();
+    ASSERT_TRUE(oracle_result.ok()) << oracle_result.status().ToString();
+    EXPECT_EQ(oracle_result->assignment.size(),
+              product_result->assignment.size())
+        << "gr shards=" << num_shards;
+    EXPECT_GT(oracle.rebuilds(), 0) << "gr shards=" << num_shards;
+    EXPECT_GT(product_result->trace.matcher_augment_searches, 0)
+        << "gr shards=" << num_shards;
   }
 }
 

@@ -43,16 +43,26 @@ QUALITY_COUNTERS = ("matched", "reconciled")
 TIMING_DEPENDENT = ("BM_Interference/",)
 
 
+# google-benchmark appends this to the name of every UseRealTime() row.
+# real_time is wall time per iteration with or without the flag (the flag
+# only changes which clock paces the iterations and divides the rate
+# counters), so such a row is the same series as its unsuffixed baseline.
+REAL_TIME_SUFFIX = "/real_time"
+
+
 def load_benchmarks(path):
     """name -> entry (real_time plus counters) for every non-aggregate
-    benchmark entry."""
+    benchmark entry, keyed without the UseRealTime() name suffix."""
     with open(path) as handle:
         data = json.load(handle)
     runs = {}
     for bench in data.get("benchmarks", []):
         if bench.get("run_type", "iteration") != "iteration":
             continue
-        runs[bench["name"]] = bench
+        name = bench["name"]
+        if name.endswith(REAL_TIME_SUFFIX):
+            name = name[:-len(REAL_TIME_SUFFIX)]
+        runs[name] = bench
     return runs
 
 

@@ -19,15 +19,14 @@
 // --shard-threads (default auto: min(K, cores)), --router=NAME (the registered shard
 // routers: grid | hash | load), --handoff-batch=N (events staged per
 // batched queue handoff; 1 = per-event), and --reconcile (post-merge
-// boundary reconciliation recovering cross-shard matches).
-// --flow-engine=NAME fixes the min-cost-flow solver core used for guide
-// generation (flow/flow_engine.h registry; auto picks by instance shape).
+// boundary reconciliation recovering cross-shard matches). The guide is
+// built by GuideOptions::Engine::kAuto.
 // `serve` runs the long-running serving harness (serve/service_harness)
 // over the looped city trace: rolling eviction, live guide refresh with
 // hot-swap and a degradation ladder, fault injection (--faults, the
 // serve/fault_injector spec grammar), and SLO-driven admission control —
-// printing one metrics line per window plus lifetime totals. Unknown
-// serve flags are rejected listing the valid set.
+// printing one metrics line per window plus lifetime totals. `run` and
+// `serve` reject unknown flags (exit 2), listing the valid set.
 // `algos` lists every algorithm the registry knows. The guide for
 // POLAR-family algorithms is derived from the instance's own realized
 // counts unless --prediction points at a second instance file whose counts
@@ -43,7 +42,6 @@
 
 #include "core/algorithm_registry.h"
 #include "core/guide_generator.h"
-#include "flow/flow_engine.h"
 #include "gen/city_trace.h"
 #include "gen/synthetic.h"
 #include "model/io.h"
@@ -127,7 +125,6 @@ int Usage() {
       "       [--shards=K] [--shard-threads=N] [--router=%s]\n"
       "       [--handoff-batch=N] [--reconcile]\n"
       "       [--retrieval=%s] [--approx-guide[=RATE]]\n"
-      "       [--flow-engine=%s]\n"
       "       (NAME: %s)\n"
       "  ftoa serve [--city=beijing|hangzhou] [--scale=F] [--windows=N]\n"
       "       [--algorithm=NAME] [--shards=K] [--shard-threads=N]\n"
@@ -143,12 +140,31 @@ int Usage() {
       "  ftoa inspect --instance=FILE\n",
       Join(AllShardRouterNames(), "|").c_str(),
       Join(AllRetrievalModeNames(), "|").c_str(),
-      Join(AllFlowEngineNames(), "|").c_str(),
       Join(AllAlgorithmNames(), " | ").c_str(),
       Join(AllRetrievalModeNames(), "|").c_str(),
       Join(AllGuideRefreshModeNames(), "|").c_str(),
       Join(AllPredictorNames(), "|").c_str());
   return 2;
+}
+
+/// False (after printing the valid set) when `args` holds a flag outside
+/// `valid`: a typo'd flag silently ignored would run something other than
+/// what was asked for, so the caller exits with a usage error.
+bool OnlyKnownFlags(const char* command, const ArgMap& args,
+                    const std::vector<std::string>& valid) {
+  for (const std::string& key : args.Keys()) {
+    if (std::find(valid.begin(), valid.end(), key) == valid.end()) {
+      std::string names;
+      for (const std::string& flag : valid) {
+        if (!names.empty()) names += ", ";
+        names += "--" + flag;
+      }
+      std::fprintf(stderr, "%s: unknown flag --%s (valid: %s)\n", command,
+                   key.c_str(), names.c_str());
+      return false;
+    }
+  }
+  return true;
 }
 
 int CmdGenerate(int argc, char** argv) {
@@ -203,6 +219,12 @@ int CmdGenerate(int argc, char** argv) {
 
 int CmdRun(int argc, char** argv) {
   const ArgMap args(argc, argv, 2);
+  static const std::vector<std::string> kRunFlags = {
+      "instance",      "algorithm", "prediction",    "strict",
+      "stream",        "dr",        "dw",            "shards",
+      "shard-threads", "router",    "handoff-batch", "reconcile",
+      "retrieval",     "approx-guide"};
+  if (!OnlyKnownFlags("run", args, kRunFlags)) return 2;
   const std::string path = args.Get("instance");
   const std::string algorithm_name = args.Get("algorithm", "polar-op");
   if (path.empty()) {
@@ -246,17 +268,6 @@ int CmdRun(int argc, char** argv) {
         args.GetDouble("dw", instance->MaxWorkerDuration());
     options.task_duration =
         args.GetDouble("dr", instance->MaxTaskDuration());
-    {
-      const auto flow_engine =
-          ParseFlowEngine(args.Get("flow-engine", "auto"));
-      if (!flow_engine.ok()) {
-        // NotFound carries the valid-name set (AllFlowEngineNames).
-        std::fprintf(stderr, "run: %s\n",
-                     flow_engine.status().ToString().c_str());
-        return 2;
-      }
-      options.flow_engine = *flow_engine;
-    }
     if (args.Has("approx-guide")) {
       // Bare --approx-guide takes the default half-rate sample; an
       // explicit =RATE must be numeric (Generate validates the (0, 1]
@@ -362,8 +373,6 @@ int CmdRun(int argc, char** argv) {
 
 int CmdServe(int argc, char** argv) {
   const ArgMap args(argc, argv, 2);
-  // Serve is the long-running mode: a typo'd SLO flag silently ignored
-  // would change production behavior, so unknown flags are hard errors.
   static const std::vector<std::string> kServeFlags = {
       "city",       "scale",          "loop-days",
       "windows",    "algorithm",      "shards",
@@ -372,19 +381,7 @@ int CmdServe(int argc, char** argv) {
       "max-live-objects", "max-guide-age", "faults",
       "fault-seed", "reconcile",      "retrieval",
       "refresh-mode", "refresh-predictor", "analytical-slice"};
-  for (const std::string& key : args.Keys()) {
-    if (std::find(kServeFlags.begin(), kServeFlags.end(), key) ==
-        kServeFlags.end()) {
-      std::string valid;
-      for (const std::string& flag : kServeFlags) {
-        if (!valid.empty()) valid += ", ";
-        valid += "--" + flag;
-      }
-      std::fprintf(stderr, "serve: unknown flag --%s (valid: %s)\n",
-                   key.c_str(), valid.c_str());
-      return 2;
-    }
-  }
+  if (!OnlyKnownFlags("serve", args, kServeFlags)) return 2;
 
   CityProfile profile = args.Get("city", "beijing") == "hangzhou"
                             ? HangzhouProfile()

@@ -22,7 +22,7 @@ cmake --build "$BUILD" \
                bench_streaming bench_sharded bench_retrieval bench_refresh \
       -j "$(nproc)"
 
-echo "== bench_micro_flow (Dijkstra+potentials vs SPFA, arenas, matcher)"
+echo "== bench_micro_flow (min-cost flow engines, arenas, matcher)"
 "$BUILD/bench_micro_flow" \
     --benchmark_min_time=0.05 \
     --benchmark_out="$ROOT/BENCH_flow.json" \
@@ -65,24 +65,16 @@ echo "== bench_refresh (warm guide refresh, incremental rotation, slice)"
     --benchmark_out="$ROOT/BENCH_refresh.json" \
     --benchmark_out_format=json
 
-# Headline number: min-cost flow speedup on the dense 2048x2048 instance.
-python3 - "$ROOT/BENCH_flow.json" <<'EOF'
-import json, sys
-runs = {b["name"]: b["real_time"]
-        for b in json.load(open(sys.argv[1]))["benchmarks"]}
-dij = runs.get("BM_MinCostFlowDijkstra/2048/48")
-spfa = runs.get("BM_MinCostFlowSpfa/2048/48")
-if dij and spfa:
-    print(f"min-cost flow 2048x2048: dijkstra {dij:.0f}ms, "
-          f"spfa {spfa:.0f}ms, speedup {spfa / dij:.2f}x")
-EOF
+# The headline snippets below key rows without the /real_time suffix that
+# google-benchmark gives UseRealTime() rows (the threaded families), as
+# tools/check_bench_regression.py does.
 
 # The FlowEngine crossover table: per shape, each engine's time, the
 # winner, and whether kAuto landed on (or near) it — the measurements
 # ChooseFlowEngine's thresholds are calibrated from (docs/flow_engines.md).
 python3 - "$ROOT/BENCH_flow.json" <<'EOF'
 import json, sys
-runs = {b["name"]: b["real_time"]
+runs = {b["name"].removesuffix("/real_time"): b["real_time"]
         for b in json.load(open(sys.argv[1]))["benchmarks"]}
 shapes = [("dense", "512/16"), ("dense", "2048/48"),
           ("ties", "512/16"), ("ties", "2048/48"),
@@ -104,7 +96,7 @@ EOF
 # throughput (ratios near 1.0 are expected on single-core machines).
 python3 - "$ROOT/BENCH_parallel.json" <<'EOF'
 import json, sys
-runs = {b["name"]: b["real_time"]
+runs = {b["name"].removesuffix("/real_time"): b["real_time"]
         for b in json.load(open(sys.argv[1]))["benchmarks"]}
 for base, label in [("BM_GuideCompressed", "guide (sharded)"),
                     ("BM_GuideCompressedMinCost", "guide min-cost"),
@@ -121,7 +113,7 @@ EOF
 python3 - "$ROOT/BENCH_streaming.json" <<'EOF'
 import json, sys
 benches = json.load(open(sys.argv[1]))["benchmarks"]
-runs = {b["name"]: b for b in benches}
+runs = {b["name"].removesuffix("/real_time"): b for b in benches}
 batch = runs.get("BM_BatchRun/polar_op/16000")
 stream = runs.get("BM_StreamRun/polar_op/16000")
 if batch and stream:
@@ -141,7 +133,7 @@ EOF
 python3 - "$ROOT/BENCH_sharded.json" <<'EOF'
 import json, sys
 benches = json.load(open(sys.argv[1]))["benchmarks"]
-runs = {b["name"]: b for b in benches}
+runs = {b["name"].removesuffix("/real_time"): b for b in benches}
 single = runs.get("BM_SingleSession/polar_op_16k")
 for shards in (1, 4, 8):
     sharded = runs.get(f"BM_ShardedGrid/polar_op_16k/{shards}")
@@ -178,7 +170,7 @@ EOF
 python3 - "$ROOT/BENCH_retrieval.json" <<'EOF'
 import json, sys
 benches = json.load(open(sys.argv[1]))["benchmarks"]
-runs = {b["name"]: b for b in benches}
+runs = {b["name"].removesuffix("/real_time"): b for b in benches}
 sizes = (2000, 8000, 32000)
 for mode in ("Engine", "Linear"):
     points = [runs.get(f"BM_Retrieval{mode}/simple_greedy/{n}")
@@ -215,7 +207,7 @@ EOF
 python3 - "$ROOT/BENCH_refresh.json" <<'EOF'
 import json, sys
 benches = json.load(open(sys.argv[1]))["benchmarks"]
-runs = {b["name"]: b for b in benches}
+runs = {b["name"].removesuffix("/real_time"): b for b in benches}
 for clusters in (16, 64):
     cold = runs.get(f"BM_GuideRefresh/cold/{clusters}")
     warm = runs.get(f"BM_GuideRefresh/warm/{clusters}")
